@@ -31,7 +31,7 @@ main()
                AcceleratorConfig::lerGan(ReplicaDegree::High)},
               {"PRIME", AcceleratorConfig::prime()}}) {
             LerGanAccelerator accelerator(model, config);
-            const TrainingReport report = accelerator.trainIteration();
+            const TrainingReport report = accelerator.trainIterations(1);
             const std::uint64_t stored =
                 accelerator.compiled().weightElems;
 

@@ -28,7 +28,7 @@ main()
         LerGanAccelerator accelerator(model, config);
         Tracer tracer;
         const TrainingReport report =
-            accelerator.trainIterationTraced(tracer);
+            accelerator.trainIterations(1, &tracer);
         std::cout << name << " (" << report.timeMs() << " ms/iter):\n";
         printPhaseTimes(std::cout, tracer, report.iterationTime);
         std::cout << '\n';

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Full verification: plain build + complete test suite, then a
 # ThreadSanitizer build of the execution-engine tests (ctest label
-# `tsan`) and an ASan+UBSan build of the audit/exporter tests (ctest
-# label `audit`). Run from anywhere; builds land in build/, build-tsan/
+# `tsan`) and an ASan+UBSan build of every non-golden test (ctest
+# -LE golden). Run from anywhere; builds land in build/, build-tsan/
 # and build-asan/.
 #
 # Usage: scripts/check.sh [jobs]
@@ -96,25 +96,25 @@ else
          "tsan-labelled tests (plain suite already ran)."
 fi
 
-# The audit tests walk every cross-layer data structure a simulation
-# produces (stats, traces, compiled mappings), which makes them the
-# densest drivers for Address- and UBSanitizer.
+# Address- and UBSanitizer over the whole unit suite: the sim core,
+# compiler, parsers, session and sweep paths all run sanitized. The
+# golden tests are left out — they byte-diff bench output the plain
+# build already checked.
 echo "== ASan+UBSan availability probe =="
 if c++ -std=c++20 -fsanitize=address,undefined "$probe_dir/probe.cc" \
         -o "$probe_dir/probe-asan" 2>/dev/null && \
         "$probe_dir/probe-asan"; then
-    echo "== ASan+UBSan build of the audit tests (ctest -L audit) =="
+    echo "== ASan+UBSan build of every test (ctest -LE golden) =="
     cmake -B "$root/build-asan" -S "$root" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
         >/dev/null
-    cmake --build "$root/build-asan" -j "$jobs" \
-        --target test_audit test_sweep_io
-    ctest --test-dir "$root/build-asan" -L audit --output-on-failure \
+    cmake --build "$root/build-asan" -j "$jobs"
+    ctest --test-dir "$root/build-asan" -LE golden --output-on-failure \
         -j "$jobs"
 else
     echo "ASan+UBSan unavailable on this toolchain; skipping the" \
-         "audit-labelled sanitizer rerun (plain suite already ran)."
+         "sanitizer rerun (plain suite already ran)."
 fi
 
 echo "== all checks passed =="

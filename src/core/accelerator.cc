@@ -582,6 +582,15 @@ class IterationBuilder
     }
 };
 
+/** Add the "total.*" keys: per-iteration counters scaled by @p n. */
+void
+addTotals(TrainingReport &report, int n)
+{
+    report.stats.set("total.iterations", n);
+    report.stats.set("total.time_ms", report.timeMs() * n);
+    report.stats.set("total.energy_mj", pjToMj(report.totalEnergyPj()) * n);
+}
+
 } // namespace
 
 LerGanAccelerator::LerGanAccelerator(
@@ -610,19 +619,6 @@ LerGanAccelerator::LerGanAccelerator(
       tileModel_(config_.reram),
       cpuRes_(machine_.pool().create("host.cpu"))
 {
-}
-
-TrainingReport
-LerGanAccelerator::trainIteration()
-{
-    return trainIterationImpl(nullptr);
-}
-
-TrainingReport
-LerGanAccelerator::trainIterationTraced(Tracer &tracer)
-{
-    tracer.clear();
-    return trainIterationImpl(&tracer);
 }
 
 std::vector<std::string>
@@ -664,11 +660,14 @@ LerGanAccelerator::makeIterationTemplate()
 }
 
 TrainingReport
-LerGanAccelerator::trainIterationImpl(Tracer *tracer,
-                                      MetricsRegistry *metrics,
-                                      const IterationTemplate *tmpl,
-                                      ExecRecord *record)
+LerGanAccelerator::trainIterations(int n, Tracer *tracer,
+                                   MetricsRegistry *metrics,
+                                   const IterationTemplate *tmpl,
+                                   ExecRecord *record)
 {
+    LERGAN_ASSERT(n > 0, "need at least one iteration");
+    if (tracer)
+        tracer->clear();
     // The rebuild path is replay of a just-built template, so both
     // paths produce byte-identical results by construction.
     std::shared_ptr<const IterationTemplate> own;
@@ -702,7 +701,10 @@ LerGanAccelerator::trainIterationImpl(Tracer *tracer,
             metrics->counter("critpath.records").add(1);
         recordPoolMetrics(machine_.pool(), *metrics);
     }
-    return assembleReport(*tmpl, exec.makespan, exec.stats);
+    TrainingReport report =
+        assembleReport(*tmpl, exec.makespan, exec.stats);
+    addTotals(report, n);
+    return report;
 }
 
 TrainingReport
@@ -745,44 +747,6 @@ LerGanAccelerator::assembleReport(const IterationTemplate &tmpl,
 }
 
 TrainingReport
-LerGanAccelerator::trainIterations(int n)
-{
-    return trainIterations(n, nullptr);
-}
-
-TrainingReport
-LerGanAccelerator::trainIterations(int n, Tracer *tracer,
-                                   MetricsRegistry *metrics)
-{
-    return trainIterations(n, tracer, metrics, nullptr);
-}
-
-TrainingReport
-LerGanAccelerator::trainIterations(int n, Tracer *tracer,
-                                   MetricsRegistry *metrics,
-                                   const IterationTemplate *tmpl)
-{
-    return trainIterations(n, tracer, metrics, tmpl, nullptr);
-}
-
-TrainingReport
-LerGanAccelerator::trainIterations(int n, Tracer *tracer,
-                                   MetricsRegistry *metrics,
-                                   const IterationTemplate *tmpl,
-                                   ExecRecord *record)
-{
-    LERGAN_ASSERT(n > 0, "need at least one iteration");
-    if (tracer)
-        tracer->clear();
-    TrainingReport report =
-        trainIterationImpl(tracer, metrics, tmpl, record);
-    report.stats.set("total.iterations", n);
-    report.stats.set("total.time_ms", report.timeMs() * n);
-    report.stats.set("total.energy_mj", pjToMj(report.totalEnergyPj()) * n);
-    return report;
-}
-
-TrainingReport
 LerGanAccelerator::estimateIterations(int n, const IterationTemplate *tmpl,
                                       PicoSeconds per_iteration)
 {
@@ -802,9 +766,7 @@ LerGanAccelerator::estimateIterations(int n, const IterationTemplate *tmpl,
     TrainingReport report =
         assembleReport(*tmpl, per_iteration, exec_stats);
     report.stats.set("critpath.estimated", 1.0);
-    report.stats.set("total.iterations", n);
-    report.stats.set("total.time_ms", report.timeMs() * n);
-    report.stats.set("total.energy_mj", pjToMj(report.totalEnergyPj()) * n);
+    addTotals(report, n);
     return report;
 }
 

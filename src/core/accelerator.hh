@@ -88,61 +88,38 @@ class LerGanAccelerator
                       std::shared_ptr<const CompiledGan> compiled,
                       Prevalidated);
 
-    /** Simulate one full training iteration. */
-    TrainingReport trainIteration();
-
-    /**
-     * Simulate one iteration while recording every task's execution
-     * interval into @p tracer (exportable as a Chrome trace).
-     */
-    TrainingReport trainIterationTraced(Tracer &tracer);
-
     /** Names of all resources, indexed by resource id (trace lanes). */
     std::vector<std::string> resourceNames() const;
 
     /**
-     * Simulate @p n iterations (the paper times ten and averages).
-     * Iterations are identical in steady state, so this simulates one
-     * and reports per-iteration numbers with counters scaled by @p n in
-     * "total.*" keys.
+     * Simulate @p n training iterations (the paper times ten and
+     * averages). Iterations are identical in steady state, so this
+     * simulates one and reports per-iteration numbers with counters
+     * scaled by @p n in "total.*" keys.
+     *
+     * Every argument past @p n is optional:
+     *  - @p tracer records the simulated iteration's task intervals
+     *    (cleared first; exportable as a Chrome trace) — what the audit
+     *    layer cross-checks phase times against;
+     *  - @p metrics accumulates sim-time telemetry (queue depth,
+     *    per-link flit traffic, controller transitions, resource
+     *    contention); only integer instruments are used, so totals are
+     *    independent of how many runs share the registry concurrently;
+     *  - @p tmpl is replayed instead of rebuilding the iteration DAG —
+     *    the fast path of repeated runs. It must come from
+     *    makeIterationTemplate() of an accelerator with the same
+     *    (model, config) pair; results, traces and metrics are
+     *    identical to the rebuild path by construction (the rebuild
+     *    path itself builds a template and replays it once);
+     *  - @p record is filled with the execution's dependence record
+     *    (binding predecessors, reservation order — sim/exec_record.hh)
+     *    for critical-path analysis. Recording never changes results,
+     *    traces or metrics.
      */
-    TrainingReport trainIterations(int n);
-
-    /**
-     * trainIterations() recording the simulated iteration's task
-     * intervals into @p tracer (cleared first; null records nothing) —
-     * the variant the audit layer uses to cross-check phase times
-     * against the event-queue makespan. When @p metrics is given the
-     * run also accumulates sim-time telemetry (queue depth, per-link
-     * flit traffic, controller transitions, resource contention) into
-     * the registry; only integer instruments are used, so totals are
-     * independent of how many runs share the registry concurrently.
-     */
-    TrainingReport trainIterations(int n, Tracer *tracer,
-                                   MetricsRegistry *metrics = nullptr);
-
-    /**
-     * trainIterations() replaying @p tmpl instead of rebuilding the
-     * iteration DAG — the fast path of repeated sweeps. @p tmpl must
-     * come from makeIterationTemplate() of an accelerator with the same
-     * (model, config) pair; results, traces and metrics are identical
-     * to the rebuild path by construction (the rebuild path itself
-     * builds a template and replays it once).
-     */
-    TrainingReport trainIterations(int n, Tracer *tracer,
-                                   MetricsRegistry *metrics,
-                                   const IterationTemplate *tmpl);
-
-    /**
-     * trainIterations() additionally filling @p record with the
-     * execution's dependence record (binding predecessors, reservation
-     * order — sim/exec_record.hh) for critical-path analysis. Recording
-     * never changes results, traces or metrics.
-     */
-    TrainingReport trainIterations(int n, Tracer *tracer,
-                                   MetricsRegistry *metrics,
-                                   const IterationTemplate *tmpl,
-                                   ExecRecord *record);
+    TrainingReport trainIterations(int n, Tracer *tracer = nullptr,
+                                   MetricsRegistry *metrics = nullptr,
+                                   const IterationTemplate *tmpl = nullptr,
+                                   ExecRecord *record = nullptr);
 
     /**
      * The report trainIterations(n, ..., tmpl) would produce, with the
@@ -181,13 +158,6 @@ class LerGanAccelerator
     Machine &machine() { return machine_; }
 
   private:
-    /** Shared implementation of the (traced) iteration runs. */
-    TrainingReport trainIterationImpl(Tracer *tracer,
-                                      MetricsRegistry *metrics = nullptr,
-                                      const IterationTemplate *tmpl =
-                                          nullptr,
-                                      ExecRecord *record = nullptr);
-
     /** Assemble the per-iteration report from a template plus the
      *  (real or estimated) timing outcome. */
     TrainingReport assembleReport(const IterationTemplate &tmpl,

@@ -23,7 +23,13 @@
  *
  * Grids of (benchmark x configuration) points run through
  * ExperimentSweep (core/sweep.hh), which executes points in parallel
- * under RunOptions{threads, iterations, onProgress}.
+ * under RunOptions{threads, iterations, onProgress}. A session run is a
+ * one-point sweep: both run the same stage sequence (simulatePoint)
+ * against the same pair of memo caches.
+ *
+ * Below the session, LerGanAccelerator::trainIterations is the one
+ * simulation entry point (optional tracer, metrics, template and
+ * dependence record).
  */
 
 #ifndef LERGAN_CORE_API_HH
@@ -37,6 +43,7 @@
 #include "core/compiler.hh"
 #include "core/config.hh"
 #include "core/report.hh"
+#include "core/sweep.hh"
 #include "exec/model_cache.hh"
 #include "nn/parser.hh"
 #include "telemetry/flight_recorder.hh"
@@ -48,19 +55,22 @@ namespace lergan {
 /**
  * A reusable simulation context for one accelerator configuration.
  *
- * The session owns (or shares) a CompiledModelCache: run() compiles a
- * given model at most once and reuses the cached mapping afterwards,
- * which is what makes repeated runs — convergence studies, parameter
- * explorations, serving many queries against the same configuration —
- * pay the compile cost once instead of per call.
+ * The session owns (or shares) a CompiledModelCache and owns an
+ * iteration-template cache — the same pair an ExperimentSweep holds:
+ * run() compiles and lowers a given model at most once and reuses the
+ * cached mapping and task graph afterwards, which is what makes
+ * repeated runs — convergence studies, parameter explorations, serving
+ * many queries against the same configuration — pay those costs once
+ * instead of per call. Every run goes through simulatePoint
+ * (core/sweep.hh), the stage sequence of a sweep point.
  *
  * Thread safety: run() may be called concurrently from several threads;
  * the cache serializes compilation per (model, config) pair and every
  * run simulates on its own private machine state.
  *
  * User errors (an unusable configuration, see
- * AcceleratorConfig::checkUsable) surface as std::invalid_argument;
- * internal invariant violations still panic.
+ * AcceleratorConfig::checkUsable, or fewer than one iteration) surface
+ * as std::invalid_argument; internal invariant violations still panic.
  */
 class SimulationSession
 {
@@ -78,6 +88,7 @@ class SimulationSession
      * With auditing enabled (auditWith), the run is additionally traced
      * and cross-checked by an AuditContext; a violated invariant throws
      * AuditError. Audit failures are simulator bugs, not user errors.
+     * @p iterations < 1 throws std::invalid_argument.
      */
     TrainingReport run(const GanModel &model, int iterations = 1) const;
 
@@ -125,15 +136,16 @@ class SimulationSession
     /** The attached metrics registry (null when telemetry is off). */
     const std::shared_ptr<MetricsRegistry> &telemetry() const
     {
-        return telemetry_;
+        return observers_.telemetry;
     }
 
     /**
      * Attach a flight recorder: every subsequent run() executes under
      * a root "run" span (trace id from allocateTraceId(), so session
      * traces never collide with sweep-point traces in a shared
-     * recorder) with compile/simulate/audit stage children recorded
-     * into the recorder's main-thread ring. Pass null to detach.
+     * recorder) with compile/template/simulate/audit stage children
+     * recorded into the recorder's main-thread ring. Pass null to
+     * detach.
      *
      * NOT thread-safe against concurrent run() calls: the main ring is
      * single-writer, and two threads running one traced session would
@@ -148,7 +160,7 @@ class SimulationSession
     /** The attached flight recorder (null when tracing is off). */
     const std::shared_ptr<FlightRecorder> &recorder() const
     {
-        return recorder_;
+        return observers_.recorder;
     }
 
     /**
@@ -178,17 +190,14 @@ class SimulationSession
     ///@}
 
   private:
-    /** Simulate, and audit under @p options when enabled. */
-    TrainingReport runImpl(const GanModel &model, int iterations,
-                           const AuditOptions &options,
-                           AuditVerdict *verdict) const;
+    /** Run @p model as a one-point sweep under @p observers. */
+    SweepResult simulate(const GanModel &model, int iterations,
+                         const PointObservers &observers) const;
 
     AcceleratorConfig config_;
     std::shared_ptr<CompiledModelCache> cache_;
-    AuditOptions audit_;
-    std::shared_ptr<MetricsRegistry> telemetry_;
-    std::shared_ptr<FlightRecorder> recorder_;
-    bool critpath_ = false;
+    std::shared_ptr<MemoCache<IterationTemplate>> templates_;
+    PointObservers observers_;
 };
 
 /**

@@ -13,6 +13,96 @@
 
 namespace lergan {
 
+PointOutcome
+simulatePoint(const GanModel &model, const AcceleratorConfig &config,
+              int iterations, const PointContext &context,
+              SweepResult &result)
+{
+    config.checkUsable();
+    const PointObservers &observers = context.observers;
+    MetricsRegistry *metrics = observers.telemetry.get();
+    PointOutcome outcome;
+
+    // The stage spans below are inert (one TL load per scope) when the
+    // thread is untraced. Validated compile: every mapping entering the
+    // cache passes validateMapping, with full diagnostics on failure
+    // (core/validate.hh).
+    std::shared_ptr<const CompiledGan> compiled;
+    {
+        Span span("compile");
+        compiled = context.models.get(model, config, compileGanValidated,
+                                      &outcome.cacheHit);
+        span.attr("cache_hit", outcome.cacheHit);
+    }
+    // The cache only holds validated mappings, so the point skips
+    // re-validating them per run.
+    LerGanAccelerator accelerator(model, config, std::move(compiled),
+                                  LerGanAccelerator::Prevalidated{});
+    accelerator.useScratch(context.scratch);
+    result.crossbarsUsed = accelerator.compiled().crossbarsUsed;
+    result.oversubscribed = accelerator.compiled().oversubscribedCrossbars;
+    // The iteration DAG is a pure function of (model, config): lower
+    // it once per pair, replay it for every later run of the pair.
+    std::shared_ptr<const IterationTemplate> tmpl;
+    {
+        Span span("template");
+        tmpl = context.templates.get(
+            pairFingerprint(model, config),
+            [&] { return accelerator.makeIterationTemplate(); });
+    }
+
+    if (context.pruneAgainst) {
+        const PicoSeconds baseline = *context.pruneAgainst;
+        const MakespanBounds bounds = makespanBounds(
+            tmpl->graph, accelerator.machine().pool().size());
+        if (bounds.provenFasterThan(baseline) ||
+            bounds.provenSlowerThan(baseline)) {
+            // The bracket already decides which side of the baseline
+            // this point lands on: skip the full event simulation and
+            // report the executor-mirror makespan, which equals what
+            // the simulation would have produced (energies are
+            // build-time facts and stay exact). No execution, so no
+            // audit or record.
+            Span span("estimate");
+            span.attr("pruned", true);
+            result.report = accelerator.estimateIterations(
+                iterations, tmpl.get(), bounds.upper);
+            outcome.pruned = true;
+            return outcome;
+        }
+    }
+
+    Tracer tracer;
+    Tracer *trace = observers.audit.enabled && observers.audit.timing
+                        ? &tracer
+                        : nullptr;
+    ExecRecord record;
+    {
+        Span span("simulate");
+        result.report = accelerator.trainIterations(
+            iterations, trace, metrics, tmpl.get(),
+            observers.critpath ? &record : nullptr);
+    }
+    if (observers.critpath) {
+        // The record is only meaningful against the graph it was taken
+        // from, so the RecordedRun shares ownership of the template
+        // (aliasing pointer).
+        result.report.critpath = makeRecordedRun(
+            std::shared_ptr<const TaskGraph>(tmpl, &tmpl->graph),
+            accelerator.resourceNames(), std::move(record));
+    }
+    if (observers.audit.enabled) {
+        Span span("audit");
+        const AuditContext audit(observers.audit);
+        result.audit = audit.run({&model, &config, &accelerator.compiled(),
+                                  &result.report, trace});
+        span.attr("clean", result.audit.ok());
+        span.attr("checks",
+                  static_cast<std::int64_t>(result.audit.checksRun));
+    }
+    return outcome;
+}
+
 ExperimentSweep::ExperimentSweep()
     : cache_(std::make_shared<CompiledModelCache>()),
       templates_(std::make_shared<MemoCache<IterationTemplate>>())
@@ -45,29 +135,29 @@ ExperimentSweep::addPoint(const GanModel &model, const std::string &label,
 ExperimentSweep &
 ExperimentSweep::auditWith(AuditOptions options)
 {
-    audit_ = std::move(options);
-    audit_.enabled = true;
+    observers_.audit = std::move(options);
+    observers_.audit.enabled = true;
     return *this;
 }
 
 ExperimentSweep &
 ExperimentSweep::withTelemetry(std::shared_ptr<MetricsRegistry> registry)
 {
-    telemetry_ = std::move(registry);
+    observers_.telemetry = std::move(registry);
     return *this;
 }
 
 ExperimentSweep &
 ExperimentSweep::withTracing(std::shared_ptr<FlightRecorder> recorder)
 {
-    recorder_ = std::move(recorder);
+    observers_.recorder = std::move(recorder);
     return *this;
 }
 
 ExperimentSweep &
 ExperimentSweep::withCriticalPath(bool enabled)
 {
-    critpath_ = enabled;
+    observers_.critpath = enabled;
     return *this;
 }
 
@@ -114,7 +204,7 @@ ExperimentSweep::run(const RunOptions &options) const
     LERGAN_ASSERT(options.threads >= 0,
                   "threads must be >= 0 (0 = hardware concurrency)");
 
-    MetricsRegistry *metrics = telemetry_.get();
+    MetricsRegistry *metrics = observers_.telemetry.get();
     std::vector<SweepResult> results(points.size());
 
     // Per-benchmark baseline makespans the pruning decisions compare
@@ -122,141 +212,60 @@ ExperimentSweep::run(const RunOptions &options) const
     // the rest, so the point bodies only ever read it.
     std::unordered_map<std::string, PicoSeconds> baselineTime;
 
-    // One arena per worker lane, reused across every point that lane
-    // runs (and across the pruning path's two batches): the executor's
-    // calendar/counter buffers and the critpath record grow to the
-    // largest graph once, then steady-state points allocate nothing.
-    // Lanes never run two bodies concurrently (ThreadPool::forEach), so
-    // indexing by lane is race-free.
-    struct WorkerArena {
+    // One executor arena per worker lane, reused across every point
+    // that lane runs (and across the pruning path's two batches): the
+    // calendar/counter buffers grow to the largest graph once, then
+    // steady-state points allocate nothing. Lanes never run two bodies
+    // concurrently (ThreadPool::forEach), so indexing by lane is
+    // race-free. Each arena starts on its own cache line: the
+    // calendar's hot fields of one lane must not share a line with the
+    // neighbouring lane's buffers.
+    struct alignas(64) LaneArena {
         ExecScratch scratch;
-        ExecRecord record;
     };
     const unsigned workerCount =
         options.threads == 0 ? defaultThreadCount()
                              : static_cast<unsigned>(options.threads);
-    std::vector<WorkerArena> arenas(workerCount);
+    std::vector<LaneArena> arenas(workerCount);
 
     const auto body = [&](std::size_t i, std::size_t lane) {
-        WorkerArena &arena = arenas[lane];
         const Point &point = points[i];
         const auto began = options.pointTelemetry
                                ? std::chrono::steady_clock::now()
                                : std::chrono::steady_clock::time_point{};
+        PointContext context{.models = *cache_,
+                             .templates = *templates_,
+                             .observers = observers_,
+                             .scratch = &arenas[lane].scratch};
+        if (pruning_ && point.prunable) {
+            const auto base = baselineTime.find(point.model->name);
+            if (base != baselineTime.end())
+                context.pruneAgainst = base->second;
+        }
         // Under withTracing, the engine's root "point" span is open on
-        // this thread; name it and hang the stage spans below it. All
-        // of this is inert (one TL load per scope) when untraced.
+        // this thread; name it and hang the stage spans below it.
         annotate("benchmark", point.model->name);
         annotate("config", *point.label);
-        point.config->checkUsable();
-        // Validated compile: every mapping entering the cache from
-        // the execution engine passes validateMapping, with full
-        // diagnostics on failure (core/validate.hh).
         SweepResult &result = results[i];
-        bool cache_hit = false;
-        std::shared_ptr<const CompiledGan> compiled;
-        {
-            Span span("compile");
-            compiled = cache_->get(*point.model, *point.config,
-                                   compileGanValidated, &cache_hit);
-            span.attr("cache_hit", cache_hit);
+        const PointOutcome outcome =
+            simulatePoint(*point.model, *point.config, options.iterations,
+                          context, result);
+        if (pruning_ && metrics) {
+            metrics->counter(outcome.pruned ? "critpath.pruned"
+                                            : "critpath.simulated")
+                .add(1);
         }
-        // The cache only holds validated mappings, so the point
-        // skips re-validating them per run.
-        LerGanAccelerator accelerator(*point.model, *point.config,
-                                      std::move(compiled),
-                                      LerGanAccelerator::Prevalidated{});
-        accelerator.useScratch(&arena.scratch);
-        // The iteration DAG is a pure function of (model, config):
-        // lower it once per pair, replay it for every point and
-        // every repeated run() of the sweep.
-        std::shared_ptr<const IterationTemplate> tmpl;
-        {
-            Span span("template");
-            tmpl = templates_->get(
-                pairFingerprint(*point.model, *point.config),
-                [&] { return accelerator.makeIterationTemplate(); });
-        }
-
-        const auto recordHostTelemetry = [&] {
-            if (!options.pointTelemetry)
-                return;
+        if (options.pointTelemetry) {
             result.telemetry.ran = true;
-            result.telemetry.cacheHit = cache_hit;
+            result.telemetry.cacheHit = outcome.cacheHit;
             result.telemetry.hostMs =
                 std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - began)
                     .count();
-        };
-
-        if (pruning_ && point.prunable) {
-            const auto base = baselineTime.find(point.model->name);
-            if (base != baselineTime.end()) {
-                const MakespanBounds bounds = makespanBounds(
-                    tmpl->graph, accelerator.machine().pool().size());
-                if (bounds.provenFasterThan(base->second) ||
-                    bounds.provenSlowerThan(base->second)) {
-                    // The bracket already decides which side of the
-                    // baseline this point lands on: skip the full event
-                    // simulation and report the executor-mirror
-                    // makespan, which equals what the simulation would
-                    // have produced (energies are build-time facts and
-                    // stay exact). No execution, so no audit or record.
-                    Span span("estimate");
-                    span.attr("pruned", true);
-                    result.report = accelerator.estimateIterations(
-                        options.iterations, tmpl.get(), bounds.upper);
-                    result.crossbarsUsed =
-                        accelerator.compiled().crossbarsUsed;
-                    result.oversubscribed =
-                        accelerator.compiled().oversubscribedCrossbars;
-                    if (metrics)
-                        metrics->counter("critpath.pruned").add(1);
-                    recordHostTelemetry();
-                    return;
-                }
-            }
         }
-
-        Tracer tracer;
-        Tracer *trace =
-            audit_.enabled && audit_.timing ? &tracer : nullptr;
-        // The arena record's buffers are reused across this lane's
-        // points; makeRecordedRun moves them into the result (the
-        // record is part of the report), so only critpath-off sweeps
-        // are fully allocation-free in steady state.
-        ExecRecord &record = arena.record;
-        {
-            Span span("simulate");
-            result.report = accelerator.trainIterations(
-                options.iterations, trace, metrics, tmpl.get(),
-                critpath_ ? &record : nullptr);
-        }
-        if (critpath_) {
-            result.report.critpath = makeRecordedRun(
-                std::shared_ptr<const TaskGraph>(tmpl, &tmpl->graph),
-                accelerator.resourceNames(), std::move(record));
-            record = ExecRecord{};
-        }
-        if (pruning_ && metrics)
-            metrics->counter("critpath.simulated").add(1);
-        result.crossbarsUsed = accelerator.compiled().crossbarsUsed;
-        result.oversubscribed =
-            accelerator.compiled().oversubscribedCrossbars;
-        if (audit_.enabled) {
-            Span span("audit");
-            const AuditContext context(audit_);
-            result.audit = context.run(
-                {point.model, point.config, &accelerator.compiled(),
-                 &result.report, trace});
-            span.attr("clean", result.audit.ok());
-            span.attr("checks", static_cast<std::int64_t>(
-                                    result.audit.checksRun));
-        }
-        recordHostTelemetry();
     };
 
-    FlightRecorder *recorder = recorder_.get();
+    FlightRecorder *recorder = observers_.recorder.get();
     std::vector<PointStatus> statuses;
     if (!pruning_) {
         statuses = runPoints(points.size(),

@@ -5,7 +5,9 @@
  *
  * The figure benches print human-readable tables; this library is the
  * programmatic counterpart — downstream users compose their own
- * comparisons and get JSON/CSV out (core/sweep_io.hh).
+ * comparisons and get JSON/CSV out (core/sweep_io.hh). Every point runs
+ * the one stage sequence in simulatePoint(), which SimulationSession
+ * (core/api.hh) runs too.
  *
  * Points execute on a worker pool (RunOptions::threads) with the
  * compiled mapping of every (model, config) pair cached across run()
@@ -19,7 +21,7 @@
 #define LERGAN_CORE_SWEEP_HH
 
 #include <memory>
-#include <ostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -80,6 +82,68 @@ struct SweepResult {
     std::string traceDump;
 };
 
+/**
+ * The observers a session or sweep attaches to every point it runs.
+ * SimulationSession and ExperimentSweep each hold one and fill it
+ * through their auditWith/withTelemetry/withTracing/withCriticalPath
+ * setters.
+ */
+struct PointObservers {
+    /** Audit policy; audit.enabled false audits nothing. */
+    AuditOptions audit;
+    /** Sim-time telemetry sink (null = off). */
+    std::shared_ptr<MetricsRegistry> telemetry;
+    /** Span sink (null = untraced). */
+    std::shared_ptr<FlightRecorder> recorder;
+    /** Attach the dependence record to every report (report.critpath). */
+    bool critpath = false;
+};
+
+/** The caches, observers and lane buffers one point runs against. */
+struct PointContext {
+    /** Compiled mappings; filled through compileGanValidated only. */
+    CompiledModelCache &models;
+    /** Iteration DAG templates, keyed by pairFingerprint. */
+    MemoCache<IterationTemplate> &templates;
+    const PointObservers &observers;
+    /** Executor buffers of the running lane (null = the accelerator's
+     *  own). Must not be shared with a concurrent point. */
+    ExecScratch *scratch = nullptr;
+    /**
+     * Bound pruning: the benchmark's baseline makespan. When set and
+     * the point's analytic makespan bounds already decide which side
+     * of it the point lands on, the event simulation is skipped (see
+     * ExperimentSweep::withBoundPruning).
+     */
+    std::optional<PicoSeconds> pruneAgainst = std::nullopt;
+};
+
+/** What simulatePoint() observed besides the result it filled. */
+struct PointOutcome {
+    /** The compile was served from the compiled-model cache. */
+    bool cacheHit = false;
+    /** Bound pruning replaced the event simulation by an estimate. */
+    bool pruned = false;
+};
+
+/**
+ * One point's stage sequence, the single pipeline behind
+ * ExperimentSweep::run and SimulationSession::run/audit: validated
+ * compile through the compiled-model cache, the Prevalidated
+ * accelerator, the iteration template through the template cache,
+ * optional bound pruning, simulate, critical-path record, audit.
+ *
+ * Fills @p result's report, crossbar counts and audit verdict; the
+ * caller owns its benchmark/label and failure fields. Stage spans
+ * ("compile", "template", "estimate" or "simulate", "audit") nest under
+ * the calling thread's open span. An unusable configuration throws
+ * std::invalid_argument before anything compiles.
+ */
+PointOutcome simulatePoint(const GanModel &model,
+                           const AcceleratorConfig &config, int iterations,
+                           const PointContext &context,
+                           SweepResult &result);
+
 /** A grid of benchmarks x configurations (plus explicit extra points). */
 class ExperimentSweep
 {
@@ -126,7 +190,7 @@ class ExperimentSweep
     /** The attached metrics registry (null when telemetry is off). */
     const std::shared_ptr<MetricsRegistry> &telemetry() const
     {
-        return telemetry_;
+        return observers_.telemetry;
     }
 
     /**
@@ -146,7 +210,7 @@ class ExperimentSweep
     /** The attached flight recorder (null when tracing is off). */
     const std::shared_ptr<FlightRecorder> &recorder() const
     {
-        return recorder_;
+        return observers_.recorder;
     }
 
     /**
@@ -173,20 +237,6 @@ class ExperimentSweep
      * figure grids always simulate every point exactly.
      */
     ExperimentSweep &withBoundPruning(bool enabled = true);
-
-    /** @name Legacy overloaded builders (forward to the named ones) */
-    ///@{
-    ExperimentSweep &
-    add(const GanModel &model)
-    {
-        return addBenchmark(model);
-    }
-    ExperimentSweep &
-    add(const std::string &label, const AcceleratorConfig &config)
-    {
-        return addConfig(label, config);
-    }
-    ///@}
 
     /**
      * Simulate every point under @p options; results are ordered
@@ -216,14 +266,6 @@ class ExperimentSweep
      */
     MemoCache<IterationTemplate> &templates() const { return *templates_; }
 
-    /** @name Legacy exporters (forward to core/sweep_io.hh) */
-    ///@{
-    static void writeJson(std::ostream &os,
-                          const std::vector<SweepResult> &results);
-    static void writeCsv(std::ostream &os,
-                         const std::vector<SweepResult> &results);
-    ///@}
-
   private:
     struct ExplicitPoint {
         GanModel model;
@@ -236,10 +278,7 @@ class ExperimentSweep
     std::vector<ExplicitPoint> extraPoints_;
     std::shared_ptr<CompiledModelCache> cache_;
     std::shared_ptr<MemoCache<IterationTemplate>> templates_;
-    AuditOptions audit_;
-    std::shared_ptr<MetricsRegistry> telemetry_;
-    std::shared_ptr<FlightRecorder> recorder_;
-    bool critpath_ = false;
+    PointObservers observers_;
     bool pruning_ = false;
 };
 

@@ -29,8 +29,8 @@
  * and asserts identical firing sequences.
  *
  * The queue is a template over the payload type so the task-graph
- * executor can store POD task events (no type erasure, no indirect
- * call) while the general EventQueue stores sim::EventFn callbacks.
+ * executor stores POD task events directly (no type erasure, no
+ * indirect call); the tests drive it with integer tags.
  *
  * Cancellation: scheduleAt returns the event's id; cancel(id) marks it
  * dead in O(1). Dead entries are skipped (and destroyed) at pop time,

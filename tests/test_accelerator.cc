@@ -46,8 +46,8 @@ TEST(Accelerator, DeterministicAcrossRuns)
     const GanModel model = makeBenchmark("cGAN");
     LerGanAccelerator acc(model,
                           AcceleratorConfig::lerGan(ReplicaDegree::Low));
-    const TrainingReport a = acc.trainIteration();
-    const TrainingReport b = acc.trainIteration();
+    const TrainingReport a = acc.trainIterations(1);
+    const TrainingReport b = acc.trainIterations(1);
     EXPECT_EQ(a.iterationTime, b.iterationTime);
     EXPECT_DOUBLE_EQ(a.totalEnergyPj(), b.totalEnergyPj());
 }

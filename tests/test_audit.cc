@@ -268,7 +268,8 @@ TEST(Audit, SweepSurfacesPerPointVerdicts)
     AcceleratorConfig config = AcceleratorConfig::lerGan(ReplicaDegree::Low);
     config.batchSize = 4;
     ExperimentSweep sweep;
-    sweep.add(makeBenchmark("MAGAN-MNIST")).add("lergan", config);
+    sweep.addBenchmark(makeBenchmark("MAGAN-MNIST"))
+        .addConfig("lergan", config);
     sweep.auditWith(AuditOptions::full());
 
     const auto results = sweep.run();
@@ -289,7 +290,8 @@ TEST(Audit, UnauditedSweepLeavesVerdictEmpty)
     AcceleratorConfig config = AcceleratorConfig::lerGan(ReplicaDegree::Low);
     config.batchSize = 4;
     ExperimentSweep sweep;
-    sweep.add(makeBenchmark("MAGAN-MNIST")).add("lergan", config);
+    sweep.addBenchmark(makeBenchmark("MAGAN-MNIST"))
+        .addConfig("lergan", config);
 
     const auto results = sweep.run();
     ASSERT_EQ(results.size(), 1u);

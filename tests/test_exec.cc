@@ -10,17 +10,20 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/api.hh"
 #include "core/sweep.hh"
 #include "core/sweep_io.hh"
+#include "critpath/critpath.hh"
 #include "exec/engine.hh"
 #include "exec/memo_cache.hh"
 #include "exec/thread_pool.hh"
@@ -471,6 +474,68 @@ TEST(Session, MatchesTheOneShotWrapper)
     EXPECT_DOUBLE_EQ(wrapped.totalEnergyPj(),
                      viaSession.totalEnergyPj());
     EXPECT_EQ(wrapped.crossbarsUsed, viaSession.crossbarsUsed);
+
+    // A session run is a one-point sweep: under every observer setting
+    // it reports exactly what the sweep reports for that point.
+    const auto observe = [](auto &target, const std::string &setting) {
+        if (setting == "audit")
+            target.auditWith(AuditOptions::full());
+        else if (setting == "critpath")
+            target.withCriticalPath();
+        else if (setting == "telemetry")
+            target.withTelemetry();
+    };
+    const auto stats = [](const TrainingReport &report) {
+        return std::map<std::string, double>(report.stats.begin(),
+                                             report.stats.end());
+    };
+    const auto chainSum = [](const TrainingReport &report) {
+        return report.critpath ? report.critpath->path.criticalDuration()
+                               : PicoSeconds{0};
+    };
+    const auto simMetrics =
+        [](const std::shared_ptr<MetricsRegistry> &registry) {
+            if (!registry)
+                return std::string();
+            std::ostringstream os;
+            registry->snapshot()
+                .withoutPrefix("cache.")
+                .withoutPrefix("host.")
+                .writeJson(os);
+            return os.str();
+        };
+    for (const std::string setting :
+         {"plain", "audit", "critpath", "telemetry"}) {
+        SCOPED_TRACE(setting);
+        SimulationSession session(config);
+        ExperimentSweep sweep;
+        sweep.addBenchmark(model).addConfig("prime", config);
+        observe(session, setting);
+        observe(sweep, setting);
+
+        const TrainingReport alone = session.run(model, 2);
+        const std::vector<SweepResult> swept = sweep.run(2);
+        ASSERT_EQ(swept.size(), 1u);
+        ASSERT_FALSE(swept[0].failed) << swept[0].error;
+        const TrainingReport &point = swept[0].report;
+
+        EXPECT_EQ(alone.iterationTime, point.iterationTime);
+        EXPECT_EQ(stats(alone), stats(point));
+        EXPECT_EQ(chainSum(alone), chainSum(point));
+        EXPECT_EQ(setting == "critpath", chainSum(alone) > 0);
+        EXPECT_EQ(simMetrics(session.telemetry()),
+                  simMetrics(sweep.telemetry()));
+        EXPECT_EQ(setting == "telemetry",
+                  !simMetrics(session.telemetry()).empty());
+        // run() throws on a failed audit, so the verdict itself comes
+        // from audit(), which audits exactly like auditWith(full()).
+        const AuditVerdict verdict =
+            setting == "audit" ? session.audit(model, 2) : AuditVerdict{};
+        EXPECT_EQ(verdict.ran, swept[0].audit.ran);
+        EXPECT_EQ(verdict.checksRun, swept[0].audit.checksRun);
+        EXPECT_EQ(verdict.failures.size(), swept[0].audit.failures.size());
+        EXPECT_EQ(setting == "audit", swept[0].audit.ran);
+    }
 }
 
 TEST(Session, UnusableConfigThrowsInvalidArgument)
@@ -480,6 +545,16 @@ TEST(Session, UnusableConfigThrowsInvalidArgument)
     SimulationSession session(config);
     EXPECT_THROW(session.run(makeBenchmark("MAGAN-MNIST")),
                  std::invalid_argument);
+}
+
+TEST(Session, FewerThanOneIterationThrowsInvalidArgument)
+{
+    const GanModel model = makeBenchmark("MAGAN-MNIST");
+    SimulationSession session(smallLerGan());
+    EXPECT_THROW(session.run(model, 0), std::invalid_argument);
+    EXPECT_THROW(session.run(model, -3), std::invalid_argument);
+    EXPECT_THROW(session.audit(model, 0), std::invalid_argument);
+    EXPECT_EQ(session.cacheMisses(), 0u); // rejected before compiling
 }
 
 TEST(Session, SharedCacheServesSeveralSessions)
@@ -644,10 +719,11 @@ TEST(SweepExec, ProgressCallbackCountsEveryPoint)
     EXPECT_EQ(seen.back(), 4u);
 }
 
-TEST(SweepExec, LegacyOverloadsStillCompose)
+TEST(SweepExec, ChainedBuildersCompose)
 {
     ExperimentSweep sweep;
-    sweep.add(makeBenchmark("MAGAN-MNIST")).add("lergan", smallLerGan());
+    sweep.addBenchmark(makeBenchmark("MAGAN-MNIST"))
+        .addConfig("lergan", smallLerGan());
     const auto results = sweep.run();
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].configLabel, "lergan");

@@ -123,10 +123,10 @@ TEST(TracedRun, ProducesEventsAndSameResult)
     AcceleratorConfig config = AcceleratorConfig::lerGan(ReplicaDegree::Low);
     config.batchSize = 4;
     LerGanAccelerator accelerator(model, config);
-    const TrainingReport plain = accelerator.trainIteration();
+    const TrainingReport plain = accelerator.trainIterations(1);
     Tracer tracer;
     const TrainingReport traced =
-        accelerator.trainIterationTraced(tracer);
+        accelerator.trainIterations(1, &tracer);
     EXPECT_EQ(plain.iterationTime, traced.iterationTime);
     EXPECT_EQ(tracer.events().size(),
               static_cast<std::size_t>(plain.stats.get("sim.tasks")));

@@ -74,7 +74,7 @@ TEST(Api, SimulateTrainingMatchesAcceleratorPath)
     config.batchSize = 4;
     const TrainingReport via_api = simulateTraining(model, config);
     LerGanAccelerator accelerator(model, config);
-    const TrainingReport direct = accelerator.trainIteration();
+    const TrainingReport direct = accelerator.trainIterations(1);
     EXPECT_EQ(via_api.iterationTime, direct.iterationTime);
 }
 

@@ -5,90 +5,115 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
-#include <memory>
+#include <cstdint>
 #include <vector>
 
-#include "sim/event_fn.hh"
-#include "sim/event_queue.hh"
+#include "sim/calendar_queue.hh"
 #include "sim/resource.hh"
 #include "sim/task_graph.hh"
 
 namespace lergan {
 namespace {
 
+// The event queue is sim::CalendarQueue, driven here with integer tags
+// the way the task-graph executor drives it with task events: a
+// "callback" is the handler the drain loop runs for each popped event.
+using EventQueue = sim::CalendarQueue<std::uint64_t>;
+
+/** Pop every live event; @p onFire handles each one as it fires. */
+template <typename OnFire>
+std::vector<std::uint64_t>
+drain(EventQueue &queue, OnFire onFire)
+{
+    std::vector<std::uint64_t> fired;
+    std::uint64_t tag = 0;
+    while (queue.pop(tag)) {
+        fired.push_back(tag);
+        onFire(tag);
+    }
+    return fired;
+}
+
+std::vector<std::uint64_t>
+drain(EventQueue &queue)
+{
+    return drain(queue, [](std::uint64_t) {});
+}
+
 TEST(EventQueue, FiresInTimeOrder)
 {
     EventQueue queue;
-    std::vector<int> order;
-    queue.scheduleAt(30, [&] { order.push_back(3); });
-    queue.scheduleAt(10, [&] { order.push_back(1); });
-    queue.scheduleAt(20, [&] { order.push_back(2); });
-    EXPECT_EQ(queue.run(), 30u);
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    queue.scheduleAt(30, 3);
+    queue.scheduleAt(10, 1);
+    queue.scheduleAt(20, 2);
+    EXPECT_EQ(drain(queue), (std::vector<std::uint64_t>{1, 2, 3}));
+    EXPECT_EQ(queue.now(), 30u);
 }
 
 TEST(EventQueue, SameTimeFiresInScheduleOrder)
 {
     EventQueue queue;
-    std::vector<int> order;
-    for (int i = 0; i < 5; ++i)
-        queue.scheduleAt(7, [&, i] { order.push_back(i); });
-    queue.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    for (std::uint64_t i = 0; i < 5; ++i)
+        queue.scheduleAt(7, i);
+    EXPECT_EQ(drain(queue), (std::vector<std::uint64_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(EventQueue, CallbacksMayScheduleMore)
 {
     EventQueue queue;
-    int fired = 0;
-    queue.scheduleAt(1, [&] {
-        ++fired;
-        queue.scheduleAfter(5, [&] { ++fired; });
+    queue.scheduleAt(1, 1);
+    const auto fired = drain(queue, [&](std::uint64_t tag) {
+        if (tag == 1)
+            queue.scheduleAt(queue.now() + 5, 2);
     });
-    EXPECT_EQ(queue.run(), 6u);
-    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(fired, (std::vector<std::uint64_t>{1, 2}));
+    EXPECT_EQ(queue.now(), 6u);
 }
 
 TEST(EventQueue, ResetClearsState)
 {
     EventQueue queue;
-    queue.scheduleAt(5, [] {});
+    queue.scheduleAt(5, 1);
+    queue.scheduleAt(9, 2);
+    std::uint64_t tag = 0;
+    ASSERT_TRUE(queue.pop(tag));
     queue.reset();
     EXPECT_EQ(queue.pending(), 0u);
     EXPECT_EQ(queue.now(), 0u);
+    EXPECT_FALSE(queue.pop(tag));
+    // Ids restart too: the first event after a reset is id 0 again.
+    EXPECT_EQ(queue.scheduleAt(0, 3), 0u);
 }
 
 TEST(EventQueueDeath, PastSchedulingIsABug)
 {
     EventQueue queue;
-    queue.scheduleAt(10, [&] {
-        EXPECT_DEATH(queue.scheduleAt(5, [] {}), "past");
-    });
-    queue.run();
+    queue.scheduleAt(10, 1);
+    std::uint64_t tag = 0;
+    ASSERT_TRUE(queue.pop(tag));
+    EXPECT_DEATH(queue.scheduleAt(5, 2), "past");
 }
 
 TEST(EventQueue, CancelledEventNeverFires)
 {
     EventQueue queue;
-    std::vector<int> order;
-    queue.scheduleAt(10, [&] { order.push_back(1); });
-    const EventId doomed = queue.scheduleAt(20, [&] { order.push_back(2); });
-    queue.scheduleAt(30, [&] { order.push_back(3); });
+    queue.scheduleAt(10, 1);
+    const sim::EventId doomed = queue.scheduleAt(20, 2);
+    queue.scheduleAt(30, 3);
     EXPECT_TRUE(queue.cancel(doomed));
     EXPECT_EQ(queue.pending(), 2u);
-    EXPECT_EQ(queue.run(), 30u);
-    EXPECT_EQ(order, (std::vector<int>{1, 3}));
+    EXPECT_EQ(drain(queue), (std::vector<std::uint64_t>{1, 3}));
+    EXPECT_EQ(queue.now(), 30u);
 }
 
 TEST(EventQueue, CancelReportsWhetherTheEventWasPending)
 {
     EventQueue queue;
-    const EventId id = queue.scheduleAt(5, [] {});
+    const sim::EventId id = queue.scheduleAt(5, 1);
     EXPECT_TRUE(queue.cancel(id));
     EXPECT_FALSE(queue.cancel(id)); // already cancelled
-    const EventId fired = queue.scheduleAt(6, [] {});
-    queue.run();
+    const sim::EventId fired = queue.scheduleAt(6, 2);
+    drain(queue);
     EXPECT_FALSE(queue.cancel(fired));  // already fired
     EXPECT_FALSE(queue.cancel(99999)); // never existed
 }
@@ -96,57 +121,14 @@ TEST(EventQueue, CancelReportsWhetherTheEventWasPending)
 TEST(EventQueue, CancelFromWithinACallback)
 {
     EventQueue queue;
-    bool fired = false;
-    const EventId victim = queue.scheduleAt(20, [&] { fired = true; });
-    queue.scheduleAt(10, [&] { EXPECT_TRUE(queue.cancel(victim)); });
-    queue.run();
-    EXPECT_FALSE(fired);
-}
-
-TEST(EventFn, SmallCallablesAreStoredInline)
-{
-    int hits = 0;
-    sim::EventFn fn([&hits] { ++hits; });
-    ASSERT_TRUE(fn);
-    EXPECT_TRUE(fn.inlineStored());
-    fn();
-    EXPECT_EQ(hits, 1);
-}
-
-TEST(EventFn, LargeCallablesFallBackToTheHeap)
-{
-    std::array<char, 128> blob{};
-    blob[0] = 42;
-    int sum = 0;
-    sim::EventFn fn([blob, &sum] { sum += blob[0]; });
-    EXPECT_FALSE(fn.inlineStored());
-    fn();
-    EXPECT_EQ(sum, 42);
-}
-
-TEST(EventFn, MoveTransfersTheCallable)
-{
-    int hits = 0;
-    sim::EventFn a([&hits] { ++hits; });
-    sim::EventFn b(std::move(a));
-    EXPECT_FALSE(a); // NOLINT(bugprone-use-after-move): contract check
-    ASSERT_TRUE(b);
-    b();
-    EXPECT_EQ(hits, 1);
-
-    sim::EventFn c;
-    c = std::move(b);
-    c();
-    EXPECT_EQ(hits, 2);
-}
-
-TEST(EventFn, MoveOnlyCallablesAreSupported)
-{
-    auto owned = std::make_unique<int>(7);
-    int seen = 0;
-    sim::EventFn fn([owned = std::move(owned), &seen] { seen = *owned; });
-    fn();
-    EXPECT_EQ(seen, 7);
+    const sim::EventId victim = queue.scheduleAt(20, 2);
+    queue.scheduleAt(10, 1);
+    const auto fired = drain(queue, [&](std::uint64_t tag) {
+        if (tag == 1) {
+            EXPECT_TRUE(queue.cancel(victim));
+        }
+    });
+    EXPECT_EQ(fired, (std::vector<std::uint64_t>{1}));
 }
 
 TEST(Resource, FifoReservations)

@@ -328,10 +328,10 @@ tracedSweep()
     AcceleratorConfig prime = AcceleratorConfig::prime();
     prime.batchSize = 4;
     ExperimentSweep sweep;
-    sweep.add(makeBenchmark("MAGAN-MNIST"))
-        .add(makeBenchmark("cGAN"))
-        .add("lergan", lergan)
-        .add("prime", prime)
+    sweep.addBenchmark(makeBenchmark("MAGAN-MNIST"))
+        .addBenchmark(makeBenchmark("cGAN"))
+        .addConfig("lergan", lergan)
+        .addConfig("prime", prime)
         .withTracing();
     return sweep;
 }
