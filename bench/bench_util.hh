@@ -11,10 +11,11 @@
 #define LERGAN_BENCH_BENCH_UTIL_HH
 
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,7 +28,6 @@
 #include "core/anomaly.hh"
 #include "core/api.hh"
 #include "exec/engine.hh"
-#include "telemetry/profiler.hh"
 #include "telemetry/tracing.hh"
 
 namespace lergan {
@@ -113,8 +113,8 @@ class Observability
         args.addOption("metrics-format",
                        "snapshot format: prom, json or csv", "prom");
         args.addOption("self-profile",
-                       "profile the simulator's own host phases "
-                       "(reported on stderr)",
+                       "record lifecycle spans and report the host time "
+                       "per span name on stderr",
                        "", /*is_flag=*/true);
         args.addOption("trace-spans",
                        "record lifecycle spans and write the NDJSON "
@@ -139,22 +139,26 @@ class Observability
     {
         if (!metricsPath_.empty())
             registry_ = std::make_shared<MetricsRegistry>();
-        if (!spansPath_.empty() || anomaliesWanted_) {
+        if (anomaliesWanted_) {
+            const double quantile = args.getDouble("trace-anomalies");
+            if (!(quantile > 0.0 && quantile <= 1.0))
+                LERGAN_FATAL("--trace-anomalies quantile must be in "
+                             "(0,1], got ",
+                             args.get("trace-anomalies"));
+            anomalyOptions_.quantile = quantile;
+        }
+        if (!spansPath_.empty() || anomaliesWanted_ || selfProfile_) {
             const int capacity = args.getInt("trace-capacity");
             recorder_ = std::make_shared<FlightRecorder>(
                 capacity > 0 ? static_cast<std::size_t>(capacity)
                              : FlightRecorder::kDefaultCapacity);
         }
-        if (anomaliesWanted_) {
-            anomalyOptions_.quantile =
-                std::atof(args.get("trace-anomalies").c_str());
-            LERGAN_ASSERT(anomalyOptions_.quantile > 0.0 &&
-                              anomalyOptions_.quantile <= 1.0,
-                          "--trace-anomalies quantile must be in (0,1]");
-        }
         if (selfProfile_) {
-            HostProfiler::global().reset();
-            HostProfiler::global().enable();
+            // The whole bench run is one traced unit on the main ring:
+            // main-thread stages (parse, session runs, export) record
+            // as children of this root until finish() closes it.
+            bind_.emplace(*recorder_);
+            root_.emplace(recorder_->allocateTraceId(), "bench");
         }
     }
 
@@ -166,7 +170,7 @@ class Observability
 
     /**
      * The flight recorder to attach via withTracing() (null unless
-     * --trace-spans or --trace-anomalies was given).
+     * --trace-spans, --trace-anomalies or --self-profile was given).
      */
     const std::shared_ptr<FlightRecorder> &recorder() const
     {
@@ -206,14 +210,16 @@ class Observability
     }
 
     /**
-     * Export everything the flags asked for: the --metrics snapshot
-     * (host-profile gauges folded in first), the --self-profile table
-     * on stderr and — last, so the export's own span makes it into the
+     * Export everything the flags asked for: the --self-profile table
+     * on stderr, the --metrics snapshot (host-phase gauges folded in
+     * first) and — last, so the export's own span makes it into the
      * log — the --trace-spans NDJSON event log.
      */
     void
     finish()
     {
+        root_.reset();
+        bind_.reset();
         if (recorder_) {
             // The export work is a traced unit too: one root "export"
             // span on the main ring, closed before the span log is
@@ -231,14 +237,10 @@ class Observability
     void
     exportMetrics()
     {
-        if (selfProfile_) {
-            std::cerr << "host profile:\n";
-            HostProfiler::global().print(std::cerr);
-        }
+        if (selfProfile_)
+            printSelfProfile();
         if (!registry_)
             return;
-        if (HostProfiler::global().enabled())
-            HostProfiler::global().exportInto(*registry_);
         const MetricsSnapshot snapshot = registry_->snapshot();
         const auto write = [&](std::ostream &os) {
             if (metricsFormat_ == "json")
@@ -260,6 +262,26 @@ class Observability
             LERGAN_FATAL("cannot write metrics file '", metricsPath_,
                          "'");
         write(out);
+    }
+
+    /** Host time per span name on stderr, filed as host.phase.*
+     *  gauges when --metrics is on. */
+    void
+    printSelfProfile()
+    {
+        std::cerr << "host profile:\n";
+        for (const auto &[name, total] :
+             sumSpansByName(recorder_->collect(), registry_.get())) {
+            std::cerr << "  " << std::left << std::setw(12) << name
+                      << std::right << std::fixed << std::setprecision(3)
+                      << std::setw(12) << total.ms() << " ms  "
+                      << total.calls << " calls\n";
+        }
+        if (recorder_->dropped() > 0) {
+            std::cerr << "  (" << recorder_->dropped()
+                      << " spans overwritten: totals cover the newest "
+                      << recorder_->laneCapacity() << " per lane)\n";
+        }
     }
 
     void
@@ -293,6 +315,10 @@ class Observability
     AnomalyOptions anomalyOptions_;
     std::shared_ptr<MetricsRegistry> registry_;
     std::shared_ptr<FlightRecorder> recorder_;
+    // --self-profile's run-long root; declared after the binding so it
+    // closes first.
+    std::optional<MainLaneBinding> bind_;
+    std::optional<Span> root_;
 };
 
 /**

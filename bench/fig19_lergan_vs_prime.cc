@@ -302,35 +302,6 @@ main(int argc, char **argv)
 
     const auto sweepResults = runner.runSweep(sweep, kIterations);
 
-    if (runner.args().getFlag("self-profile")) {
-        // Telemetry-overhead guard: re-run the same grid with the
-        // compile cache warm, once without and once with a registry,
-        // and report the wall-clock ratio. The telemetry-off run is
-        // the product default, so this is the number that must stay
-        // within the <2% overhead budget.
-        using clock = std::chrono::steady_clock;
-        RunOptions warm;
-        warm.threads = runner.threads();
-        warm.iterations = kIterations;
-        sweep.withTelemetry(nullptr);
-        const auto t0 = clock::now();
-        sweep.run(warm);
-        const auto t1 = clock::now();
-        sweep.withTelemetry();
-        sweep.run(warm);
-        const auto t2 = clock::now();
-        const double off_ms =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        const double on_ms =
-            std::chrono::duration<double, std::milli>(t2 - t1).count();
-        std::cerr << "telemetry overhead (warm cache): off " << off_ms
-                  << " ms, on " << on_ms << " ms ("
-                  << (off_ms > 0 ? 100.0 * (on_ms - off_ms) / off_ms
-                                 : 0.0)
-                  << "% on-cost)\n";
-        sweep.withTelemetry(runner.obs().registry());
-    }
-
     if (runner.args().getFlag("critpath")) {
         critpathReport();
         // Bound-pruned rerun of the warm grid: the counters show how

@@ -9,7 +9,6 @@
 #include "common/json.hh"
 #include "common/strings.hh"
 #include "exec/thread_pool.hh"
-#include "telemetry/profiler.hh"
 
 namespace lergan {
 namespace bench {
@@ -28,20 +27,30 @@ percentile(std::vector<double> samples, double q)
     return samples[std::min(rank, samples.size() - 1)];
 }
 
-/** Per-phase host milliseconds of @p after minus @p before. */
-std::map<std::string, double>
-phaseDeltaMs(const std::map<std::string, HostPhaseStat> &before,
-             const std::map<std::string, HostPhaseStat> &after)
+/**
+ * A recorder for @p repeats timed repetitions of a workload whose
+ * warm-up pushed @p probe.recorded() spans: every lane ring can hold
+ * them all, so none is dropped however the points land on lanes.
+ */
+std::shared_ptr<FlightRecorder>
+recorderFor(const FlightRecorder &probe, int repeats)
 {
-    std::map<std::string, double> delta;
-    for (const auto &[phase, stat] : after) {
-        std::uint64_t earlier = 0;
-        if (auto it = before.find(phase); it != before.end())
-            earlier = it->second.ns;
-        if (stat.ns > earlier)
-            delta[phase] = static_cast<double>(stat.ns - earlier) / 1e6;
-    }
-    return delta;
+    return std::make_shared<FlightRecorder>(
+        static_cast<std::size_t>(probe.recorded()) *
+        static_cast<std::size_t>(repeats));
+}
+
+/** Host milliseconds per span name over everything @p recorder holds. */
+std::map<std::string, double>
+phaseMs(const FlightRecorder &recorder)
+{
+    LERGAN_ASSERT(recorder.dropped() == 0,
+                  "bench measurement dropped ", recorder.dropped(),
+                  " spans");
+    std::map<std::string, double> ms;
+    for (const auto &[name, total] : sumSpansByName(recorder.collect()))
+        ms[name] = total.ms();
+    return ms;
 }
 
 /** Fixed-point number with enough digits for a perf trajectory. */
@@ -300,17 +309,12 @@ void
 Runner::measureSweep(ExperimentSweep &sweep, int iterations)
 {
     measuredIterations_ = iterations;
-    // Measurement runs are silent and unobserved: no telemetry, no
-    // tracing, no progress — the product-default fast path is the
-    // measured one.
+    // Measurement runs are silent: no telemetry, no progress. Their
+    // only observer is a private flight recorder, the clock of the
+    // per-phase host times.
     const auto registry = sweep.telemetry();
     const auto recorder = sweep.recorder();
     sweep.withTelemetry(nullptr);
-    sweep.withTracing(nullptr);
-
-    HostProfiler &profiler = HostProfiler::global();
-    const bool wasEnabled = profiler.enabled();
-    profiler.enable();
 
     const int repeats = std::max(1, args_.getInt("bench-repeats"));
     for (int workers : measuredWorkerCounts()) {
@@ -319,9 +323,14 @@ Runner::measureSweep(ExperimentSweep &sweep, int iterations)
         options.iterations = iterations;
         options.pointTelemetry = true;
 
-        sweep.run(options); // warm-up: caches hot, allocators settled
+        // Warm-up: caches hot, allocators settled. A one-slot recorder
+        // counts its spans to size the timed repetitions' recorder.
+        const auto probe = std::make_shared<FlightRecorder>(1);
+        sweep.withTracing(probe);
+        sweep.run(options);
+        const auto timed = recorderFor(*probe, repeats);
+        sweep.withTracing(timed);
 
-        const auto phasesBefore = profiler.stats();
         std::vector<double> pointMs;
         PerfTimer timer;
         for (int rep = 0; rep < repeats; ++rep) {
@@ -330,7 +339,6 @@ Runner::measureSweep(ExperimentSweep &sweep, int iterations)
                 pointMs.push_back(result.telemetry.hostMs);
         }
         const double wallMs = timer.elapsedMs();
-        const auto phasesAfter = profiler.stats();
 
         BenchMeasurement m;
         m.workers = workers;
@@ -343,7 +351,7 @@ Runner::measureSweep(ExperimentSweep &sweep, int iterations)
                          : 0.0;
         m.p50HostMsPerPoint = percentile(pointMs, 0.5);
         m.p95HostMsPerPoint = percentile(pointMs, 0.95);
-        m.hostPhasesMs = phaseDeltaMs(phasesBefore, phasesAfter);
+        m.hostPhasesMs = phaseMs(*timed);
         measurements_.push_back(m);
 
         std::cerr << "bench: " << benchName_ << " workers=" << workers
@@ -352,7 +360,6 @@ Runner::measureSweep(ExperimentSweep &sweep, int iterations)
                   << num(m.p95HostMsPerPoint) << " ms/point)\n";
     }
 
-    profiler.enable(wasEnabled);
     sweep.withTelemetry(registry);
     sweep.withTracing(recorder);
 }
@@ -360,25 +367,29 @@ Runner::measureSweep(ExperimentSweep &sweep, int iterations)
 void
 Runner::measureBody(std::size_t points, const std::function<void()> &body)
 {
-    HostProfiler &profiler = HostProfiler::global();
-    const bool wasEnabled = profiler.enabled();
-    profiler.enable();
-
+    // Each repetition runs under a "bench" root on the main ring, so
+    // the main-thread stages of the body (parse, session runs) record
+    // as its children.
+    const auto traced = [&body](FlightRecorder &recorder) {
+        MainLaneBinding bind(recorder);
+        Span root(recorder.allocateTraceId(), "bench");
+        body();
+    };
     const int repeats = std::max(1, args_.getInt("bench-repeats"));
-    body(); // warm-up
+    FlightRecorder probe(1);
+    traced(probe); // warm-up; its span count sizes the timed recorder
+    const auto timed = recorderFor(probe, repeats);
 
-    const auto phasesBefore = profiler.stats();
     std::vector<double> repMsPerPoint;
     PerfTimer timer;
     for (int rep = 0; rep < repeats; ++rep) {
         PerfTimer repTimer;
-        body();
+        traced(*timed);
         if (points > 0)
             repMsPerPoint.push_back(repTimer.elapsedMs() /
                                     static_cast<double>(points));
     }
     const double wallMs = timer.elapsedMs();
-    const auto phasesAfter = profiler.stats();
 
     BenchMeasurement m;
     m.workers = 1;
@@ -394,13 +405,11 @@ Runner::measureBody(std::size_t points, const std::function<void()> &body)
     // header).
     m.p50HostMsPerPoint = percentile(repMsPerPoint, 0.5);
     m.p95HostMsPerPoint = percentile(repMsPerPoint, 0.95);
-    m.hostPhasesMs = phaseDeltaMs(phasesBefore, phasesAfter);
+    m.hostPhasesMs = phaseMs(*timed);
     measurements_.push_back(m);
 
     std::cerr << "bench: " << benchName_ << " " << num(m.pointsPerSec)
               << " points/sec\n";
-
-    profiler.enable(wasEnabled);
 }
 
 void

@@ -41,10 +41,21 @@
  *             "points_per_sec": ..., "scaling_efficiency": ...,
  *             "p50_host_ms_per_point": ...,
  *             "p95_host_ms_per_point": ...,
- *             "host_phases_ms": { "schedule": ..., "simulate": ... } },
+ *             "host_phases_ms": { "compile": ..., "point": ...,
+ *                                 "simulate": ..., "template": ... } },
  *           ... ] },
  *       ... ]
  *   }
+ *
+ * "host_phases_ms" sums the timed repetitions' lifecycle spans per span
+ * name (sumSpansByName in telemetry/flight_recorder.hh): a sweep's
+ * "point" roots and their compile/template/simulate/audit/estimate
+ * stages; a measure() body's "bench" roots and the parse and session
+ * stages it runs on the main thread. Entries recorded before spans
+ * became the only host clock carry the old self-profiler's phase names
+ * instead (parse, compile, schedule, simulate, export), where
+ * "schedule" is today's "template" and "compile" counted compileGan
+ * calls rather than compile-stage spans (cache hits included).
  *
  * Schema lergan-bench/2 added "hardware_threads" (the measuring
  * machine's defaultThreadCount()) per entry and "scaling_efficiency"
@@ -102,7 +113,7 @@ struct BenchMeasurement {
     double scalingEfficiency = -1.0;
     double p50HostMsPerPoint = 0.0;
     double p95HostMsPerPoint = 0.0;
-    /** Per-phase host time (HostProfiler delta over the timed reps). */
+    /** Host ms per span name over the timed reps (schema above). */
     std::map<std::string, double> hostPhasesMs;
 };
 
@@ -143,7 +154,8 @@ class Runner
      * --bench-json / --bench-check is active, afterwards re-runs the
      * (now warm) sweep per measured worker count — one warm-up plus
      * --bench-repeats timed repetitions each — with per-point host
-     * telemetry, and records the measurements.
+     * telemetry and a private flight recorder, and records the
+     * measurements.
      */
     std::vector<SweepResult> runSweep(ExperimentSweep &sweep,
                                       int iterations);

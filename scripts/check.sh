@@ -1,9 +1,9 @@
 #!/bin/sh
-# Full verification: plain build + complete test suite, then a
-# ThreadSanitizer build of the execution-engine tests (ctest label
-# `tsan`) and an ASan+UBSan build of every non-golden test (ctest
-# -LE golden). Run from anywhere; builds land in build/, build-tsan/
-# and build-asan/.
+# Full verification: plain build + complete test suite, the host-perf
+# guards, the benchmark self-test, then a ThreadSanitizer build of the
+# execution-engine tests (ctest label `tsan`) and an ASan+UBSan build
+# of every non-golden test (ctest -LE golden). Run from anywhere;
+# builds land in build/, build-tsan/, build-asan/ and .bench_build/.
 #
 # Usage: scripts/check.sh [jobs]
 set -eu
@@ -65,6 +65,13 @@ elif [ -f "$root/BENCH_fig19_tracing.json" ]; then
 else
     echo "== tracing overhead guard skipped (no baseline) =="
 fi
+
+# The benchmark harness builds its own copy of src/ (perfbench/ adds it
+# with add_subdirectory), so a break in that second build — a source
+# file added to or dropped from a library's CMakeLists — only shows
+# here. The self-test builds .bench_build/ and runs short checked runs.
+echo "== benchmark self-test (perfbench/selftest.py) =="
+python3 "$root/perfbench/selftest.py"
 
 # The exec tests exercise the worker pool and the compile cache under
 # real concurrency, and the fault tests drive the Monte Carlo driver's

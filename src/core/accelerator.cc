@@ -8,7 +8,6 @@
 #include "core/validate.hh"
 #include "sim/task_graph.hh"
 #include "sim/utilization.hh"
-#include "telemetry/profiler.hh"
 #include "workloads/zoo.hh"
 
 namespace lergan {
@@ -636,7 +635,6 @@ LerGanAccelerator::resourceNames() const
 std::shared_ptr<const IterationTemplate>
 LerGanAccelerator::makeIterationTemplate()
 {
-    const auto scope = HostProfiler::global().scope("schedule");
     controller_.reset();
 
     // Build against a private registry so the template captures the
@@ -688,13 +686,9 @@ LerGanAccelerator::trainIterations(int n, Tracer *tracer,
             metrics->counter(name).add(delta);
     }
 
-    ExecResult exec;
-    {
-        const auto scope = HostProfiler::global().scope("simulate");
-        exec = tmpl->graph.execute(
-            machine_.pool(), tracer, metrics,
-            externalScratch_ ? externalScratch_ : &scratch_, record);
-    }
+    const ExecResult exec = tmpl->graph.execute(
+        machine_.pool(), tracer, metrics,
+        externalScratch_ ? externalScratch_ : &scratch_, record);
     if (metrics) {
         metrics->counter("sim.iterations").add(1);
         if (record)

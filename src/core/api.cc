@@ -30,14 +30,6 @@ SimulationSession::auditWith(AuditOptions options)
 }
 
 SimulationSession &
-SimulationSession::withFaults(const FaultConfig &faults)
-{
-    faults.checkUsable();
-    config_.faults = faults;
-    return *this;
-}
-
-SimulationSession &
 SimulationSession::withTelemetry(std::shared_ptr<MetricsRegistry> registry)
 {
     observers_.telemetry = std::move(registry);

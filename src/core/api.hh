@@ -68,6 +68,16 @@ namespace lergan {
  * the cache serializes compilation per (model, config) pair and every
  * run simulates on its own private machine state.
  *
+ * Faults are part of the configuration: a session constructed with
+ * config.faults set runs every model on mappings degraded around that
+ * sampled fault map (stuck cells/columns, killed tiles, wear). Distinct
+ * fault configs are distinct cache keys, so sessions sharing a cache
+ * never alias a healthy mapping with a degraded one.
+ *
+ * Bound pruning (ExperimentSweep::withBoundPruning) stays on the sweep:
+ * it skips a point whose makespan bracket already decides its side of
+ * a baseline point's makespan, and a one-point session has no baseline.
+ *
  * User errors (an unusable configuration, see
  * AcceleratorConfig::checkUsable, or fewer than one iteration) surface
  * as std::invalid_argument; internal invariant violations still panic.
@@ -98,17 +108,6 @@ class SimulationSession
      * calls; configure before handing the session out.
      */
     SimulationSession &auditWith(AuditOptions options);
-
-    /**
-     * Inject @p faults into every subsequent run() of this session:
-     * replaces config().faults, so compiled mappings degrade around the
-     * sampled fault map (stuck cells/columns, killed tiles, wear).
-     * Distinct fault configs are distinct cache keys — switching fault
-     * rates never aliases a healthy compiled mapping. Not thread-safe
-     * against concurrent run() calls; configure before handing the
-     * session out.
-     */
-    SimulationSession &withFaults(const FaultConfig &faults);
 
     /**
      * Simulate and audit @p model, returning the verdict instead of

@@ -10,7 +10,6 @@
 #include "common/logging.hh"
 #include "faults/fault_model.hh"
 #include "faults/wear.hh"
-#include "telemetry/profiler.hh"
 
 namespace lergan {
 
@@ -523,7 +522,6 @@ compiledWriteDensities(const CompiledGan &compiled,
 CompiledGan
 compileGan(const GanModel &model, const AcceleratorConfig &config)
 {
-    const auto scope = HostProfiler::global().scope("compile");
     if (!config.faults.any()) {
         // Zero-fault path: bit-exact with the fault-unaware compiler.
         // Manual failedTiles keep their legacy route-around behavior.

@@ -2,7 +2,7 @@
 
 #include "common/json.hh"
 #include "critpath/critpath.hh"
-#include "telemetry/profiler.hh"
+#include "telemetry/tracing.hh"
 
 namespace lergan {
 
@@ -49,7 +49,7 @@ void
 writeSweepJson(std::ostream &os, const std::vector<SweepResult> &results,
                const SweepTelemetrySummary *summary)
 {
-    const auto scope = HostProfiler::global().scope("export");
+    Span span("export");
     JsonWriter json(os);
     if (summary)
         json.beginObject().key("points");
@@ -168,7 +168,7 @@ void
 writeSweepCsv(std::ostream &os, const std::vector<SweepResult> &results,
               const SweepTelemetrySummary *summary)
 {
-    const auto scope = HostProfiler::global().scope("export");
+    Span span("export");
     // Monte Carlo columns appear only when some result carries trial
     // distributions, so plain sweeps export the exact historical shape;
     // telemetry columns follow the same pattern.

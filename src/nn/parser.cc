@@ -6,7 +6,7 @@
 
 #include "common/logging.hh"
 #include "common/strings.hh"
-#include "telemetry/profiler.hh"
+#include "telemetry/tracing.hh"
 
 namespace lergan {
 
@@ -418,7 +418,7 @@ GanModel
 parseGan(const std::string &name, const std::string &generator,
          const std::string &discriminator, int item_size, int spatial_dims)
 {
-    const auto scope = HostProfiler::global().scope("parse");
+    Span span("parse");
     GanModel model;
     model.name = name;
     model.itemSize = item_size;

@@ -66,11 +66,7 @@ TaskGraph::freeze() const
     return f;
 }
 
-// Cache-line aligned: the speed of the dispatch loop below depends on
-// its code alignment, which would otherwise shift with the size of
-// whatever the linker places ahead of it (5-10% of the batch-scale
-// benchmark's CPU time on a 4-thread x86-64 host).
-__attribute__((aligned(64))) ExecResult
+ExecResult
 TaskGraph::execute(ResourcePool &pool, Tracer *tracer,
                    MetricsRegistry *metrics, ExecScratch *scratch,
                    ExecRecord *record) const

@@ -7,6 +7,7 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "telemetry/metrics.hh"
 
 namespace lergan {
 
@@ -253,6 +254,26 @@ printSpanTree(std::ostream &os, const std::vector<SpanEvent> &events)
             os << "  (parent span not resident)";
         os << '\n';
     }
+}
+
+std::map<std::string, SpanTotal>
+sumSpansByName(const std::vector<SpanEvent> &events,
+               MetricsRegistry *gauges)
+{
+    std::map<std::string, SpanTotal> totals;
+    for (const SpanEvent &event : events) {
+        SpanTotal &total = totals[event.name];
+        total.ns += event.endNs - event.beginNs;
+        total.calls += 1;
+    }
+    if (gauges) {
+        for (const auto &[name, total] : totals) {
+            gauges->gauge("host.phase." + name + ".ms").set(total.ms());
+            gauges->gauge("host.phase." + name + ".calls")
+                .set(static_cast<double>(total.calls));
+        }
+    }
+    return totals;
 }
 
 std::string

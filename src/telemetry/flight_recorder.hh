@@ -35,6 +35,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -42,6 +43,8 @@
 #include <vector>
 
 namespace lergan {
+
+class MetricsRegistry;
 
 /** Identifies one traced unit of work (one sweep point, one run). */
 using TraceId = std::uint64_t;
@@ -252,6 +255,25 @@ void writeSpanNdjson(std::ostream &os,
  * with a note.
  */
 void printSpanTree(std::ostream &os, const std::vector<SpanEvent> &events);
+
+/** Host time summed over every span of one name. */
+struct SpanTotal {
+    std::uint64_t ns = 0;
+    std::uint64_t calls = 0;
+
+    double ms() const { return static_cast<double>(ns) * 1e-6; }
+};
+
+/**
+ * Sum @p events per span name: total nanoseconds and call count,
+ * ordered by name — the host phase table of a bench's --self-profile
+ * and the "host_phases_ms" of a --bench-json entry. When @p gauges is
+ * given, every name is also filed there as host.phase.<name>.ms /
+ * .calls gauges; the "host." prefix keeps them out of the goldens.
+ */
+std::map<std::string, SpanTotal>
+sumSpansByName(const std::vector<SpanEvent> &events,
+               MetricsRegistry *gauges = nullptr);
 
 /**
  * One-stop failure dump: the span tree of @p trace as currently

@@ -8,9 +8,9 @@ std::uint64_t
 traceNowNs()
 {
     // One epoch for the whole process, captured on first use (function-
-    // local static: thread-safe, ordered before any span or profiler
-    // scope can read the clock). Spans and HostProfiler phase scopes
-    // both measure from here, so their timelines share an origin.
+    // local static: thread-safe, ordered before any span can read the
+    // clock). Spans on every lane measure from here, so their timelines
+    // share an origin.
     static const std::chrono::steady_clock::time_point epoch =
         std::chrono::steady_clock::now();
     return static_cast<std::uint64_t>(

@@ -23,9 +23,10 @@
  * order on the owning thread, so a point's span sequence is a pure
  * function of its code path — identical at any worker count.
  *
- * Clock: all span timestamps (and HostProfiler phase scopes) derive
- * from one process-wide steady-clock epoch, captured on first use —
- * see traceNowNs(). Span nesting is asserted monotonic in debug
+ * Clock: all span timestamps derive from one process-wide steady-clock
+ * epoch, captured on first use — see traceNowNs(). Spans are also the
+ * simulator's only host-phase clock: a bench's --self-profile table and
+ * --bench-json phase times are sumSpansByName() over recorded spans. Span nesting is asserted monotonic in debug
  * builds: closing a span that is not the innermost open one aborts.
  */
 
@@ -43,8 +44,8 @@ namespace lergan {
 /**
  * Nanoseconds since the process-wide trace epoch — one steady-clock
  * origin, captured once at first use (i.e. session start), shared by
- * every span and every HostProfiler phase scope so the two timelines
- * never disagree on where zero is.
+ * every span on every lane so their timelines never disagree on where
+ * zero is.
  */
 std::uint64_t traceNowNs();
 

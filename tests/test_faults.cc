@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <set>
 #include <stdexcept>
 
@@ -458,7 +459,7 @@ TEST(Faults, DeadBankFailsItsSweepPointOnly)
 }
 
 // ---------------------------------------------------------------------
-// Session builder, audit integration and cache keying.
+// Faulted sessions, audit integration and cache keying.
 // ---------------------------------------------------------------------
 
 TEST(Faults, SessionWithFaultsProducesAuditedDegradedRun)
@@ -466,9 +467,9 @@ TEST(Faults, SessionWithFaultsProducesAuditedDegradedRun)
     FaultConfig faults;
     faults.seed = 3;
     faults.tileKillRate = 0.1;
-    SimulationSession session(
-        AcceleratorConfig::lerGan(ReplicaDegree::Low));
-    session.withFaults(faults);
+    AcceleratorConfig config = AcceleratorConfig::lerGan(ReplicaDegree::Low);
+    config.faults = faults;
+    SimulationSession session(config);
 
     TrainingReport report;
     const AuditVerdict verdict =
@@ -482,9 +483,9 @@ TEST(Faults, SessionWithFaultsProducesAuditedDegradedRun)
 
 TEST(Faults, ZeroRateFaultConfigIsInert)
 {
-    SimulationSession session(
-        AcceleratorConfig::lerGan(ReplicaDegree::Low));
-    session.withFaults(FaultConfig{}); // all rates zero
+    AcceleratorConfig config = AcceleratorConfig::lerGan(ReplicaDegree::Low);
+    config.faults = FaultConfig{}; // all rates zero
+    SimulationSession session(config);
     const TrainingReport report = session.run(makeBenchmark("DCGAN"));
     EXPECT_FALSE(report.stats.has("fault.killed_tiles"));
     EXPECT_FALSE(report.stats.has("fault.capacity_lost_frac"));
@@ -507,19 +508,21 @@ TEST(Faults, DistinctSeedsAreDistinctCacheKeys)
     FaultConfig faults;
     faults.seed = 1;
     faults.tileKillRate = 0.1;
-    SimulationSession session(
-        AcceleratorConfig::lerGan(ReplicaDegree::Low));
-    session.withFaults(faults);
+    AcceleratorConfig config = AcceleratorConfig::lerGan(ReplicaDegree::Low);
+    config.faults = faults;
+    const auto cache = std::make_shared<CompiledModelCache>();
+    const SimulationSession seed1(config, cache);
     const GanModel model = makeBenchmark("DCGAN");
-    session.run(model);
-    EXPECT_EQ(session.cacheMisses(), 1u);
-    session.run(model); // same seed: cache hit
-    EXPECT_EQ(session.cacheHits(), 1u);
+    seed1.run(model);
+    EXPECT_EQ(cache->misses(), 1u);
+    seed1.run(model); // same seed: cache hit
+    EXPECT_EQ(cache->hits(), 1u);
 
-    faults.seed = 2;
-    session.withFaults(faults);
-    session.run(model); // different fault map: must recompile
-    EXPECT_EQ(session.cacheMisses(), 2u);
+    config.faults.seed = 2;
+    const SimulationSession seed2(config, cache);
+    seed2.run(model); // different fault map: must recompile
+    EXPECT_EQ(cache->misses(), 2u);
+    EXPECT_EQ(cache->hits(), 1u);
 }
 
 TEST(MonteCarlo, TrialSeedsAreDistinct)

@@ -2,7 +2,8 @@
  * @file
  * Tests for the telemetry subsystem: registry create-or-get semantics,
  * histogram bucketing, snapshot/delta/prefix-filter algebra, the three
- * exporters, the host self-profiler, and a worker-pool hammer that the
+ * exporters, the span-to-host-phase aggregator, and a worker-pool hammer
+ * that the
  * TSan stage of scripts/check.sh re-runs (label "telemetry").
  */
 
@@ -15,8 +16,8 @@
 
 #include "common/json.hh"
 #include "exec/thread_pool.hh"
+#include "telemetry/flight_recorder.hh"
 #include "telemetry/metrics.hh"
-#include "telemetry/profiler.hh"
 
 namespace lergan {
 namespace {
@@ -186,40 +187,50 @@ TEST(MetricsSnapshot, EqualContentsSerializeByteIdentically)
     EXPECT_EQ(oa.str(), ob.str());
 }
 
-TEST(HostProfiler, DisabledScopeRecordsNothing)
+SpanEvent
+timedSpan(TraceId trace, SpanId span, const char *name,
+          std::uint64_t begin_ns, std::uint64_t end_ns)
 {
-    HostProfiler &profiler = HostProfiler::global();
-    profiler.reset();
-    profiler.enable(false);
-    {
-        const auto scope = profiler.scope("parse");
-    }
-    EXPECT_TRUE(profiler.stats().empty());
+    SpanEvent event;
+    event.trace = trace;
+    event.span = span;
+    event.parent = span == 1 ? 0 : 1;
+    event.name = name;
+    event.beginNs = begin_ns;
+    event.endNs = end_ns;
+    return event;
 }
 
-TEST(HostProfiler, EnabledScopeAccumulatesPhase)
+TEST(SpanTotals, SumPerNameAcrossTracesAndFileHostPhaseGauges)
 {
-    HostProfiler &profiler = HostProfiler::global();
-    profiler.reset();
-    profiler.enable();
-    {
-        const auto scope = profiler.scope("compile");
-    }
-    {
-        const auto scope = profiler.scope("compile");
-    }
-    const auto stats = profiler.stats();
-    ASSERT_EQ(stats.count("compile"), 1u);
-    EXPECT_EQ(stats.at("compile").calls, 2u);
-
+    // Two traces of a hand-built point: compile appears once per trace,
+    // so its total spans both.
+    const std::vector<SpanEvent> events = {
+        timedSpan(1, 1, "point", 0, 9'000'000),
+        timedSpan(1, 2, "compile", 0, 2'000'000),
+        timedSpan(1, 3, "simulate", 2'000'000, 8'500'000),
+        timedSpan(2, 1, "point", 10'000'000, 11'000'000),
+        timedSpan(2, 2, "compile", 10'000'000, 10'250'000),
+    };
     MetricsRegistry registry;
-    profiler.exportInto(registry);
-    const MetricsSnapshot snapshot = registry.snapshot();
-    EXPECT_EQ(snapshot.gauges.count("host.phase.compile.calls"), 1u);
-    EXPECT_EQ(snapshot.gauges.count("host.phase.compile.ms"), 1u);
+    const auto totals = sumSpansByName(events, &registry);
 
-    profiler.enable(false);
-    profiler.reset();
+    ASSERT_EQ(totals.size(), 3u);
+    EXPECT_EQ(totals.at("point").ns, 10'000'000u);
+    EXPECT_EQ(totals.at("point").calls, 2u);
+    EXPECT_EQ(totals.at("compile").ns, 2'250'000u);
+    EXPECT_EQ(totals.at("compile").calls, 2u);
+    EXPECT_DOUBLE_EQ(totals.at("compile").ms(), 2.25);
+    EXPECT_EQ(totals.at("simulate").calls, 1u);
+
+    const MetricsSnapshot snapshot = registry.snapshot();
+    EXPECT_EQ(snapshot.gauges.size(), 6u);
+    EXPECT_DOUBLE_EQ(snapshot.gauges.at("host.phase.compile.ms"), 2.25);
+    EXPECT_DOUBLE_EQ(snapshot.gauges.at("host.phase.compile.calls"), 2.0);
+    EXPECT_DOUBLE_EQ(snapshot.gauges.at("host.phase.simulate.ms"), 6.5);
+    EXPECT_DOUBLE_EQ(snapshot.gauges.at("host.phase.point.calls"), 2.0);
+    // Everything lands under "host.", which the goldens strip.
+    EXPECT_TRUE(snapshot.withoutPrefix("host.").empty());
 }
 
 TEST(MetricsRegistry, ConcurrentRecordingFromWorkerPool)

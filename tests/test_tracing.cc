@@ -490,5 +490,26 @@ TEST(TracedSession, RunRecordsStageSpansOnTheMainRing)
     EXPECT_TRUE(saw_simulate);
 }
 
+TEST(TracedSession, StageSpansSumWithinTheRunRoot)
+{
+    SimulationSession session(AcceleratorConfig::lerGan(ReplicaDegree::Low));
+    session.withTracing();
+    ASSERT_TRUE(session.audit(makeBenchmark("cGAN"), 1).ok());
+
+    // One one-point run: one root, each pipeline stage once, and the
+    // stages run one after another inside it.
+    const auto totals = sumSpansByName(session.recorder()->collect());
+    ASSERT_EQ(totals.count("run"), 1u);
+    EXPECT_EQ(totals.at("run").calls, 1u);
+    std::uint64_t stages_ns = 0;
+    for (const char *stage : {"compile", "template", "simulate", "audit"}) {
+        ASSERT_EQ(totals.count(stage), 1u) << stage;
+        EXPECT_EQ(totals.at(stage).calls, 1u) << stage;
+        stages_ns += totals.at(stage).ns;
+    }
+    EXPECT_EQ(totals.size(), 5u);
+    EXPECT_LE(stages_ns, totals.at("run").ns);
+}
+
 } // namespace
 } // namespace lergan
