@@ -10,7 +10,6 @@
 #ifndef LERGAN_BENCH_BENCH_UTIL_HH
 #define LERGAN_BENCH_BENCH_UTIL_HH
 
-#include <chrono>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -319,35 +318,6 @@ class Observability
     // closes first.
     std::optional<MainLaneBinding> bind_;
     std::optional<Span> root_;
-};
-
-/**
- * Wall-clock stopwatch for bench-side performance measurement.
- *
- * Times host phases of a bench run (the simulator's own speed, never
- * the simulated hardware's). Used by bench::Runner for the --bench-json
- * measurements; standalone benches may use it directly.
- */
-class PerfTimer
-{
-  public:
-    PerfTimer() : start_(clock::now()) {}
-
-    /** Restart the stopwatch. */
-    void restart() { start_ = clock::now(); }
-
-    /** Milliseconds elapsed since construction or the last restart(). */
-    double
-    elapsedMs() const
-    {
-        return std::chrono::duration<double, std::milli>(clock::now() -
-                                                         start_)
-            .count();
-    }
-
-  private:
-    using clock = std::chrono::steady_clock;
-    clock::time_point start_;
 };
 
 /** Geometric-style arithmetic mean helper used in the summary rows. */

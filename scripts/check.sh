@@ -1,9 +1,10 @@
 #!/bin/sh
-# Full verification: plain build + complete test suite, the host-perf
-# guards, the benchmark self-test, then a ThreadSanitizer build of the
-# execution-engine tests (ctest label `tsan`) and an ASan+UBSan build
-# of every non-golden test (ctest -LE golden). Run from anywhere;
-# builds land in build/, build-tsan/, build-asan/ and .bench_build/.
+# Full verification: plain build + complete test suite, the fig19
+# critical-path and span-tracing overhead guards, the benchmark
+# self-test, then a ThreadSanitizer build of the execution-engine tests
+# (ctest label `tsan`) and an ASan+UBSan build of every non-golden test
+# (ctest -LE golden). Run from anywhere; builds land in build/,
+# build-tsan/, build-asan/ and .bench_build/.
 #
 # Usage: scripts/check.sh [jobs]
 set -eu
@@ -16,30 +17,13 @@ cmake -B "$root/build" -S "$root" >/dev/null
 cmake --build "$root/build" -j "$jobs"
 ctest --test-dir "$root/build" --output-on-failure -j "$jobs"
 
-# Host-performance guard: measure the fig19 grid at 1 and 4 workers
-# and fail when the 1-worker points/sec drops >20% below the committed
-# BENCH_fig19.json baseline, or when the 4-worker scaling efficiency
-# drops >20% below the efficiency the committed baseline records (a
-# contention regression shows up there even when single-worker
-# throughput is intact; see bench/runner.hh). Wall-clock measurements
-# are machine-dependent; set LERGAN_SKIP_PERF_GUARD=1 on slow or noisy
-# machines.
-if [ "${LERGAN_SKIP_PERF_GUARD:-0}" = "1" ]; then
-    echo "== perf guard skipped (LERGAN_SKIP_PERF_GUARD=1) =="
-elif [ -f "$root/BENCH_fig19.json" ]; then
-    echo "== perf guard: fig19 throughput + scaling efficiency vs" \
-         "committed BENCH_fig19.json =="
-    "$root/build/bench/fig19_lergan_vs_prime" \
-        --bench-check "$root/BENCH_fig19.json" \
-        --bench-workers 1,4 --bench-repeats 2 >/dev/null
-else
-    echo "== perf guard skipped (no BENCH_fig19.json baseline) =="
-fi
-
+# Host throughput and scaling are gated by the repository benchmark
+# (python3 perfbench/run.py, see BENCHMARK.json), not here.
+#
 # Critical-path recording overhead guard: a warm A/B replay of the
 # fig19 grid templates with and without an ExecRecord attached must not
 # exceed the committed overhead ratio by more than 4 points (the ratio
-# is mostly machine-independent; LERGAN_SKIP_PERF_GUARD skips it too).
+# is mostly machine-independent; LERGAN_SKIP_PERF_GUARD=1 skips it).
 if [ "${LERGAN_SKIP_PERF_GUARD:-0}" = "1" ]; then
     echo "== critpath overhead guard skipped (LERGAN_SKIP_PERF_GUARD=1) =="
 elif [ -f "$root/BENCH_fig19_critpath.json" ]; then

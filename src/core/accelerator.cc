@@ -19,37 +19,60 @@ namespace {
 constexpr double kCpuNsPerWeight = 0.05;
 
 /**
- * Per-link-kind flit counters, resolved once per iteration build so the
- * per-transfer hot path records through plain pointers instead of a
- * name lookup (registry lookups take the creation mutex).
+ * Build-time counter increments of one iteration — per-link-kind flits
+ * and controller transitions — counted in plain integers and emitted as
+ * an IterationTemplate's counterDeltas.
  */
-struct FlitCounters {
-    std::array<Counter *, 5> byKind{};
+struct BuildCounters {
+    std::array<std::uint64_t, static_cast<std::size_t>(LinkKind::Bus) + 1>
+        flits{};
+    std::array<std::uint64_t,
+               static_cast<std::size_t>(CtrlState::UpdateGen) + 1>
+        enters{};
+    std::uint64_t transitions = 0;
+    std::uint64_t modeSwitches = 0;
 
-    explicit FlitCounters(MetricsRegistry *metrics)
+    void
+    addFlits(LinkKind kind, std::uint64_t count)
     {
-        if (!metrics)
-            return;
+        flits[static_cast<std::size_t>(kind)] += count;
+    }
+
+    /**
+     * The deltas by metric name, name-ordered like a registry snapshot:
+     * every link kind (zero included), the transition and mode-switch
+     * totals, and each controller state the build entered.
+     */
+    std::vector<std::pair<std::string, std::uint64_t>>
+    deltas() const
+    {
+        std::vector<std::pair<std::string, std::uint64_t>> out;
         for (LinkKind kind : {LinkKind::HTree, LinkKind::Horizontal,
                               LinkKind::Vertical, LinkKind::Bypass,
                               LinkKind::Bus}) {
-            byKind[static_cast<std::size_t>(kind)] = &metrics->counter(
-                std::string(linkKindMetricKey(kind)) + ".flits");
+            out.emplace_back(std::string(linkKindMetricKey(kind)) +
+                                 ".flits",
+                             flits[static_cast<std::size_t>(kind)]);
         }
-    }
-
-    void
-    add(LinkKind kind, std::uint64_t flits) const
-    {
-        if (Counter *counter = byKind[static_cast<std::size_t>(kind)])
-            counter->add(flits);
+        out.emplace_back("ctrl.transitions", transitions);
+        out.emplace_back("ctrl.mode_switches", modeSwitches);
+        for (std::size_t state = 0; state < enters.size(); ++state) {
+            if (enters[state] == 0)
+                continue;
+            out.emplace_back(
+                std::string("ctrl.enter.") +
+                    ctrlStateMetricKey(static_cast<CtrlState>(state)),
+                enters[state]);
+        }
+        std::sort(out.begin(), out.end());
+        return out;
     }
 };
 
 /** Charge a route's per-link energies, keyed by wire kind. */
 void
 chargeRoute(const Topology &topo, const Route &route, Bytes bytes,
-            StatSet &stats, const FlitCounters &flits)
+            StatSet &stats, BuildCounters &counters)
 {
     for (int link_idx : route.links) {
         const TopoLink &link = topo.link(link_idx);
@@ -62,7 +85,7 @@ chargeRoute(const Topology &topo, const Route &route, Bytes bytes,
           case LinkKind::Bus:        key = "energy.comm.bus"; break;
         }
         stats.add(key, link.pjPerByte * static_cast<double>(bytes));
-        flits.add(link.kind, flitsFor(bytes));
+        counters.addFlits(link.kind, flitsFor(bytes));
     }
     stats.add("traffic.bytes", static_cast<double>(bytes));
     stats.add("traffic.byte_hops",
@@ -82,17 +105,17 @@ class IterationBuilder
     IterationBuilder(const GanModel &model, const AcceleratorConfig &config,
                      const CompiledGan &compiled, Machine &machine,
                      MemoryController &controller, const TileModel &tile,
-                     std::size_t cpu_res, MetricsRegistry *metrics)
+                     std::size_t cpu_res)
         : model_(model), config_(config), compiled_(compiled),
           machine_(machine), controller_(controller), tile_(tile),
-          cpuRes_(cpu_res), metrics_(metrics), flitCounters_(metrics),
-          cmode_(config.connection == Connection::ThreeD)
+          cpuRes_(cpu_res), cmode_(config.connection == Connection::ThreeD)
     {
     }
 
     TaskGraph graph;
     StatSet energy;
-    int advances = 0; ///< controller advances issued by build()
+    /** Build-time counters; transitions = controller advances issued. */
+    BuildCounters counters;
 
     /** Build the full iteration: discriminator step then generator step. */
     void
@@ -116,8 +139,6 @@ class IterationBuilder
     MemoryController &controller_;
     const TileModel &tile_;
     std::size_t cpuRes_;
-    MetricsRegistry *metrics_;
-    FlitCounters flitCounters_;
     bool cmode_;
 
     const ReRamParams &params() const { return config_.reram; }
@@ -174,7 +195,7 @@ class IterationBuilder
         energy.add("energy.control", params().controllerPjPerTask);
 
         const TaskId id =
-            graph.addTask({op.op.label, opResources(op), duration, 0, ""});
+            graph.addTask({op.op.label, opResources(op), duration});
         for (TaskId dep : deps)
             if (dep != kNoTask)
                 graph.addDep(id, dep);
@@ -195,8 +216,7 @@ class IterationBuilder
         const Route &route =
             machine_.routeTiles(src.bank, src.tileStart, dst.bank,
                                 dst.tileStart, cmode_);
-        chargeRoute(machine_.topo(), route, bytes, energy,
-                    flitCounters_);
+        chargeRoute(machine_.topo(), route, bytes, energy, counters);
         if (charge_storage)
             tile_.chargeStorage(energy, bytes, bytes);
         // Parallel per-tile wires (leaf, horizontal, vertical) stripe
@@ -216,7 +236,7 @@ class IterationBuilder
         const TaskId id = graph.addTask(
             {"xfer:" + src.op.label + "->" + dst.op.label,
              machine_.topo().routeResources(route),
-             route.transferTime(wire_bytes), 0, ""});
+             route.transferTime(wire_bytes)});
         if (dep != kNoTask)
             graph.addDep(id, dep);
         return id;
@@ -228,13 +248,13 @@ class IterationBuilder
     {
         energy.add("energy.comm.bus",
                    params().busPjPerByte * static_cast<double>(bytes));
-        flitCounters_.add(LinkKind::Bus, flitsFor(bytes));
+        counters.addFlits(LinkKind::Bus, flitsFor(bytes));
         tile_.chargeStorage(energy, 0, bytes);
         const PicoSeconds duration = nsToPs(
             params().bankReadNs +
             static_cast<double>(bytes) / (2 * params().linkBytesPerNs));
         const TaskId id =
-            graph.addTask({"load:" + dst.op.label, {}, duration, 0, ""});
+            graph.addTask({"load:" + dst.op.label, {}, duration});
         if (dep != kNoTask)
             graph.addDep(id, dep);
         return id;
@@ -244,17 +264,10 @@ class IterationBuilder
     TaskId
     advanceController(TaskId dep)
     {
-        ++advances;
         const auto switches = controller_.advance();
-        if (metrics_) {
-            metrics_->counter("ctrl.transitions").add(1);
-            metrics_
-                ->counter(std::string("ctrl.enter.") +
-                          ctrlStateMetricKey(controller_.state()))
-                .add(1);
-            metrics_->counter("ctrl.mode_switches")
-                .add(switches.size());
-        }
+        ++counters.transitions;
+        ++counters.enters[static_cast<std::size_t>(controller_.state())];
+        counters.modeSwitches += switches.size();
         energy.add("energy.control",
                    controller_.switchEnergy() *
                        static_cast<double>(switches.size()));
@@ -262,7 +275,7 @@ class IterationBuilder
             switches.empty() ? 0 : controller_.switchTime();
         const TaskId id = graph.addTask(
             {std::string("ctrl:") + ctrlStateName(controller_.state()), {},
-             duration, 0, ""});
+             duration});
         if (dep != kNoTask)
             graph.addDep(id, dep);
         return id;
@@ -272,7 +285,7 @@ class IterationBuilder
     TaskId
     barrierTask(const char *label, const std::vector<TaskId> &deps)
     {
-        const TaskId id = graph.addTask({label, {}, 0, 0, ""});
+        const TaskId id = graph.addTask({label, {}, 0});
         for (TaskId dep : deps)
             if (dep != kNoTask)
                 graph.addDep(id, dep);
@@ -545,16 +558,14 @@ class IterationBuilder
              {cpuRes_},
              nsToPs(params().bankReadNs +
                     static_cast<double>(grad_bytes) /
-                        (2 * params().linkBytesPerNs)),
-             0, ""});
+                        (2 * params().linkBytesPerNs))});
         graph.addDep(read, entry);
 
         // Host-side SGD arithmetic.
         const TaskId cpu = graph.addTask(
             {disc ? "D.update.cpu" : "G.update.cpu",
              {cpuRes_},
-             nsToPs(kCpuNsPerWeight * static_cast<double>(base_weights)),
-             0, ""});
+             nsToPs(kCpuNsPerWeight * static_cast<double>(base_weights))});
         graph.addDep(cpu, read);
 
         // Rewrite every stored copy of the network's kernels.
@@ -569,8 +580,7 @@ class IterationBuilder
                     op.tileCount);
                 tile_.chargeWeightWrite(energy, op.cost.weightElems);
                 const TaskId write = graph.addTask(
-                    {"update:" + op.op.label, opResources(op), duration, 0,
-                     ""});
+                    {"update:" + op.op.label, opResources(op), duration});
                 graph.addDep(write, cpu);
                 writes.push_back(write);
             }
@@ -637,23 +647,19 @@ LerGanAccelerator::makeIterationTemplate()
 {
     controller_.reset();
 
-    // Build against a private registry so the template captures the
-    // build-time counter increments (controller transitions, per-link
-    // flits) as replayable deltas, whether or not the triggering run
-    // has telemetry attached.
-    MetricsRegistry buildMetrics;
+    // The template captures the build-time counter increments
+    // (controller transitions, per-link flits) as replayable deltas,
+    // whether or not the triggering run has telemetry attached.
     IterationBuilder builder(model_, config_, *compiled_, machine_,
-                             controller_, tileModel_, cpuRes_,
-                             &buildMetrics);
+                             controller_, tileModel_, cpuRes_);
     builder.build();
 
     auto tmpl = std::make_shared<IterationTemplate>();
     tmpl->graph = std::move(builder.graph);
     tmpl->buildEnergy = std::move(builder.energy);
-    tmpl->controllerAdvances = builder.advances;
-    const MetricsSnapshot snapshot = buildMetrics.snapshot();
-    tmpl->counterDeltas.assign(snapshot.counters.begin(),
-                               snapshot.counters.end());
+    tmpl->controllerAdvances =
+        static_cast<int>(builder.counters.transitions);
+    tmpl->counterDeltas = builder.counters.deltas();
     return tmpl;
 }
 

@@ -170,7 +170,7 @@ class SimulationSession
      * simulation results; it adds bounded bookkeeping per task (a
      * noticeable fraction of the lean executor's ~80ns/task — the
      * fig19 critpath guard fails check.sh if the ratio regresses more
-     * than 5 points past the committed baseline). Not thread-safe
+     * than 4 points past the committed baseline). Not thread-safe
      * against concurrent run() calls; configure before handing the
      * session out.
      */

@@ -33,11 +33,9 @@ TaskGraph::freeze() const
     std::call_once(f.once, [this, &f] {
         const std::size_t n = tasks_.size();
         f.durations.resize(n);
-        f.energies.resize(n);
         f.resStart.assign(n + 1, 0);
         for (std::size_t id = 0; id < n; ++id) {
             f.durations[id] = tasks_[id].duration;
-            f.energies[id] = tasks_[id].energy;
             f.resStart[id + 1] =
                 f.resStart[id] +
                 static_cast<std::uint32_t>(tasks_[id].resources.size());
@@ -75,7 +73,6 @@ TaskGraph::execute(ResourcePool &pool, Tracer *tracer,
     const std::size_t n = tasks_.size();
 
     ExecResult result;
-    result.endTimes.assign(n, 0);
 
     ExecScratch local;
     ExecScratch &s = scratch ? *scratch : local;
@@ -140,7 +137,7 @@ TaskGraph::execute(ResourcePool &pool, Tracer *tracer,
 
     // The POD event loop. A fire event commits FIFO reservations on
     // every resource the task needs and schedules the completion event;
-    // a completion charges energy and releases the successors. Event
+    // a completion releases the successors. Event
     // (time, seq) order is identical to the historic closure-based
     // executor, so results, traces and metrics are byte-compatible.
     TaskEvent event;
@@ -209,9 +206,6 @@ TaskGraph::execute(ResourcePool &pool, Tracer *tracer,
                 sample();
         } else {
             const PicoSeconds end = s.queue.now();
-            if (f.energies[id] != 0)
-                result.stats.add(tasks_[id].energyKey, f.energies[id]);
-            result.endTimes[id] = end;
             result.makespan = std::max(result.makespan, end);
             ++completed;
             if (record) {

@@ -4,15 +4,16 @@
  *
  * The compiler lowers one GAN training iteration into a DAG of compute and
  * transfer tasks. Each task occupies one or more resources for a fixed
- * duration and contributes energy under a named statistic key. Execution
- * is event-driven: a task fires when its last dependency completes, then
- * reserves its resources FIFO, which naturally models pipelining across a
- * minibatch and contention on tiles and links.
+ * duration; energies are build-time facts of the lowering, not of the
+ * schedule, so the graph carries none. Execution is event-driven: a task
+ * fires when its last dependency completes, then reserves its resources
+ * FIFO, which naturally models pipelining across a minibatch and
+ * contention on tiles and links.
  *
  * Execution is built for replay speed. On the first execute() the graph
- * freezes its hot state into struct-of-arrays form — flat duration and
- * energy arrays plus CSR resource and successor lists — so the event
- * loop never touches the cold per-task strings or per-task vectors. The
+ * freezes its hot state into struct-of-arrays form — a flat duration
+ * array plus CSR resource and successor lists — so the event loop never
+ * touches the cold per-task strings or per-task vectors. The
  * events themselves are POD (task id + kind) dispatched by a switch in
  * the executor: no closures, no type erasure, no allocation per event.
  * With an ExecScratch the remaining per-run buffers (event calendar,
@@ -59,20 +60,15 @@ struct Task {
     std::vector<std::size_t> resources;
     /** Occupancy time. Zero-duration tasks act as barriers. */
     PicoSeconds duration = 0;
-    /** Energy charged when the task runs. */
-    PicoJoules energy = 0;
-    /** Statistic key the energy is charged to ("energy.compute.adc"). */
-    std::string energyKey;
 };
 
 /** Result of executing a task graph. */
 struct ExecResult {
     /** Completion time of the last task. */
     PicoSeconds makespan = 0;
-    /** Energy per key, plus bookkeeping counters. */
+    /** Bookkeeping counters ("sim.tasks"). Per-task start and end
+     *  times are recorded by an ExecRecord when one is attached. */
     StatSet stats;
-    /** Per-task end times (indexed by TaskId), for chained graphs. */
-    std::vector<PicoSeconds> endTimes;
 };
 
 /** POD event of the task executor: fire or complete one task. */
@@ -161,7 +157,7 @@ class TaskGraph
      * @param metrics optional registry for sim.* metrics.
      * @param scratch optional reusable buffers (see ExecScratch).
      * @param record  optional execution record for critpath analysis.
-     * @return makespan, accumulated energy statistics and task end times.
+     * @return makespan and the task count statistic.
      */
     ExecResult execute(ResourcePool &pool, Tracer *tracer = nullptr,
                        MetricsRegistry *metrics = nullptr,
@@ -190,7 +186,6 @@ class TaskGraph
         std::once_flag once;
         bool done = false;
         std::vector<PicoSeconds> durations;
-        std::vector<PicoJoules> energies;
         std::vector<std::uint32_t> resStart; ///< size N+1
         std::vector<std::uint32_t> resIds;
         std::vector<std::uint32_t> succStart; ///< size N+1

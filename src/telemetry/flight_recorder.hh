@@ -266,9 +266,8 @@ struct SpanTotal {
 
 /**
  * Sum @p events per span name: total nanoseconds and call count,
- * ordered by name — the host phase table of a bench's --self-profile
- * and the "host_phases_ms" of a --bench-json entry. When @p gauges is
- * given, every name is also filed there as host.phase.<name>.ms /
+ * ordered by name — the host phase table of a bench's --self-profile.
+ * When @p gauges is given, every name is also filed there as host.phase.<name>.ms /
  * .calls gauges; the "host." prefix keeps them out of the goldens.
  */
 std::map<std::string, SpanTotal>

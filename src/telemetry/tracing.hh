@@ -6,9 +6,9 @@
  * session run): it captures begin/end on the shared trace clock, links
  * to its parent, carries a handful of key/value attributes, and lands
  * in the calling thread's flight-recorder ring when it closes. The
- * whole apparatus is thread-local: bindTraceLane() points a thread at
- * its ring, a root Span opens a trace, nested Spans attach to the
- * current one. No locks anywhere — a span's only shared-memory effect
+ * whole apparatus is thread-local: a TraceLaneBinding (MainLaneBinding
+ * for the main thread) points a thread at its ring, a root Span opens a
+ * trace, nested Spans attach to the current one. No locks anywhere — a span's only shared-memory effect
  * is the ring push at destruction.
  *
  * Cost discipline: an *unbound* thread's Span is inert — construction
@@ -25,9 +25,10 @@
  *
  * Clock: all span timestamps derive from one process-wide steady-clock
  * epoch, captured on first use — see traceNowNs(). Spans are also the
- * simulator's only host-phase clock: a bench's --self-profile table and
- * --bench-json phase times are sumSpansByName() over recorded spans. Span nesting is asserted monotonic in debug
- * builds: closing a span that is not the innermost open one aborts.
+ * simulator's only host-phase clock: a bench's --self-profile table is
+ * sumSpansByName() over recorded spans. Span nesting is asserted
+ * monotonic in debug builds: closing a span that is not the innermost
+ * open one aborts.
  */
 
 #ifndef LERGAN_TELEMETRY_TRACING_HH

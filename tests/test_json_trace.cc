@@ -62,8 +62,8 @@ TEST(Trace, RecordsTaskIntervals)
     ResourcePool pool;
     const auto r = pool.create("unit");
     TaskGraph graph;
-    const TaskId a = graph.addTask({"first", {r}, 10, 0, ""});
-    const TaskId b = graph.addTask({"second", {r}, 5, 0, ""});
+    const TaskId a = graph.addTask({"first", {r}, 10});
+    const TaskId b = graph.addTask({"second", {r}, 5});
     graph.addDep(b, a);
 
     Tracer tracer;
@@ -81,7 +81,7 @@ TEST(Trace, NullTracerIsFine)
 {
     ResourcePool pool;
     TaskGraph graph;
-    graph.addTask({"t", {}, 1, 0, ""});
+    graph.addTask({"t", {}, 1});
     EXPECT_EQ(graph.execute(pool).makespan, 1u);
 }
 
@@ -140,8 +140,8 @@ TEST(Trace, ExecutorRecordsOccupancyCounters)
     ResourcePool pool;
     const auto r = pool.create("unit");
     TaskGraph graph;
-    const TaskId a = graph.addTask({"first", {r}, 10, 0, ""});
-    const TaskId b = graph.addTask({"second", {r}, 5, 0, ""});
+    const TaskId a = graph.addTask({"first", {r}, 10});
+    const TaskId b = graph.addTask({"second", {r}, 5});
     graph.addDep(b, a);
 
     Tracer tracer;

@@ -52,8 +52,8 @@ makeRandomDag(std::uint64_t seed)
             std::vector<std::size_t> resources;
             if (rng.nextBounded(4) != 0)
                 resources.push_back(rng.nextBounded(num_resources));
-            const TaskId id = dag.graph.addTask(
-                {"t", resources, duration, 0, ""});
+            const TaskId id =
+                dag.graph.addTask({"t", resources, duration});
             dag.durations.push_back(duration);
             dag.deps.emplace_back();
             if (layer > 0) {
@@ -99,7 +99,9 @@ class RandomDagProperty : public testing::TestWithParam<int>
 TEST_P(RandomDagProperty, SchedulingInvariants)
 {
     RandomDag dag = makeRandomDag(GetParam() * 7919 + 13);
-    const ExecResult result = dag.graph.execute(dag.pool);
+    ExecRecord record;
+    const ExecResult result =
+        dag.graph.execute(dag.pool, nullptr, nullptr, nullptr, &record);
 
     // Bounds: critical path <= makespan <= serial sum.
     PicoSeconds serial = 0;
@@ -112,8 +114,7 @@ TEST_P(RandomDagProperty, SchedulingInvariants)
     // every prerequisite's end.
     for (TaskId id = 0; id < dag.durations.size(); ++id)
         for (TaskId dep : dag.deps[id])
-            EXPECT_GE(result.endTimes[id],
-                      result.endTimes[dep] + dag.durations[id]);
+            EXPECT_GE(record.end[id], record.end[dep] + dag.durations[id]);
 
     // No resource is busy longer than the run.
     for (std::size_t r = 0; r < dag.pool.size(); ++r)

@@ -155,13 +155,16 @@ TEST(TaskGraph, ChainRespectsDependencies)
     ResourcePool pool;
     const auto r = pool.create("unit");
     TaskGraph graph;
-    const TaskId a = graph.addTask({"a", {r}, 10, 0, ""});
-    const TaskId b = graph.addTask({"b", {r}, 20, 0, ""});
+    const TaskId a = graph.addTask({"a", {r}, 10});
+    const TaskId b = graph.addTask({"b", {r}, 20});
     graph.addDep(b, a);
-    const ExecResult result = graph.execute(pool);
+    ExecRecord record;
+    const ExecResult result =
+        graph.execute(pool, nullptr, nullptr, nullptr, &record);
     EXPECT_EQ(result.makespan, 30u);
-    EXPECT_EQ(result.endTimes[a], 10u);
-    EXPECT_EQ(result.endTimes[b], 30u);
+    EXPECT_EQ(record.start[b], 10u);
+    EXPECT_EQ(record.end[a], 10u);
+    EXPECT_EQ(record.end[b], 30u);
 }
 
 TEST(TaskGraph, IndependentTasksContendOnSharedResource)
@@ -170,7 +173,7 @@ TEST(TaskGraph, IndependentTasksContendOnSharedResource)
     const auto r = pool.create("unit");
     TaskGraph graph;
     for (int i = 0; i < 4; ++i)
-        graph.addTask({"t", {r}, 10, 0, ""});
+        graph.addTask({"t", {r}, 10});
     const ExecResult result = graph.execute(pool);
     EXPECT_EQ(result.makespan, 40u); // serialized on one resource
 }
@@ -181,7 +184,7 @@ TEST(TaskGraph, IndependentTasksOnDistinctResourcesOverlap)
     TaskGraph graph;
     for (int i = 0; i < 4; ++i) {
         const auto r = pool.create("unit" + std::to_string(i));
-        graph.addTask({"t", {r}, 10, 0, ""});
+        graph.addTask({"t", {r}, 10});
     }
     EXPECT_EQ(graph.execute(pool).makespan, 10u);
 }
@@ -194,8 +197,8 @@ TEST(TaskGraph, PipelineOverlapsStages)
     const auto s2 = pool.create("stage2");
     TaskGraph graph;
     for (int item = 0; item < 3; ++item) {
-        const TaskId a = graph.addTask({"s1", {s1}, 10, 0, ""});
-        const TaskId b = graph.addTask({"s2", {s2}, 10, 0, ""});
+        const TaskId a = graph.addTask({"s1", {s1}, 10});
+        const TaskId b = graph.addTask({"s2", {s2}, 10});
         graph.addDep(b, a);
     }
     EXPECT_EQ(graph.execute(pool).makespan, 40u);
@@ -207,24 +210,12 @@ TEST(TaskGraph, MultiResourceTaskHoldsAll)
     const auto r1 = pool.create("r1");
     const auto r2 = pool.create("r2");
     TaskGraph graph;
-    graph.addTask({"uses r1", {r1}, 10, 0, ""});
-    graph.addTask({"uses both", {r1, r2}, 10, 0, ""});
-    graph.addTask({"uses r2", {r2}, 10, 0, ""});
+    graph.addTask({"uses r1", {r1}, 10});
+    graph.addTask({"uses both", {r1, r2}, 10});
+    graph.addTask({"uses r2", {r2}, 10});
     const ExecResult result = graph.execute(pool);
     // The both-task starts after r1 frees; the r2-task waits for it.
     EXPECT_EQ(result.makespan, 30u);
-}
-
-TEST(TaskGraph, EnergyChargedToKeys)
-{
-    ResourcePool pool;
-    TaskGraph graph;
-    graph.addTask({"a", {}, 1, 12.5, "energy.x"});
-    graph.addTask({"b", {}, 1, 7.5, "energy.x"});
-    graph.addTask({"c", {}, 1, 5.0, "energy.y"});
-    const ExecResult result = graph.execute(pool);
-    EXPECT_DOUBLE_EQ(result.stats.get("energy.x"), 20.0);
-    EXPECT_DOUBLE_EQ(result.stats.get("energy.y"), 5.0);
 }
 
 TEST(TaskGraph, ZeroDurationBarrier)
@@ -232,13 +223,15 @@ TEST(TaskGraph, ZeroDurationBarrier)
     ResourcePool pool;
     const auto r = pool.create("r");
     TaskGraph graph;
-    const TaskId a = graph.addTask({"a", {r}, 15, 0, ""});
-    const TaskId barrier = graph.addTask({"barrier", {}, 0, 0, ""});
-    const TaskId b = graph.addTask({"b", {r}, 5, 0, ""});
+    const TaskId a = graph.addTask({"a", {r}, 15});
+    const TaskId barrier = graph.addTask({"barrier", {}, 0});
+    const TaskId b = graph.addTask({"b", {r}, 5});
     graph.addDep(barrier, a);
     graph.addDep(b, barrier);
-    const ExecResult result = graph.execute(pool);
-    EXPECT_EQ(result.endTimes[barrier], 15u);
+    ExecRecord record;
+    const ExecResult result =
+        graph.execute(pool, nullptr, nullptr, nullptr, &record);
+    EXPECT_EQ(record.end[barrier], 15u);
     EXPECT_EQ(result.makespan, 20u);
 }
 
@@ -247,7 +240,7 @@ TEST(TaskGraph, ReexecutableAfterPoolReset)
     ResourcePool pool;
     const auto r = pool.create("r");
     TaskGraph graph;
-    graph.addTask({"a", {r}, 10, 0, ""});
+    graph.addTask({"a", {r}, 10});
     EXPECT_EQ(graph.execute(pool).makespan, 10u);
     pool.resetAll();
     EXPECT_EQ(graph.execute(pool).makespan, 10u);
@@ -259,20 +252,24 @@ TEST(TaskGraph, ScratchReuseMatchesFreshExecution)
     const auto r0 = pool.create("r0");
     const auto r1 = pool.create("r1");
     TaskGraph graph;
-    const TaskId a = graph.addTask({"a", {r0}, 10, 1.0, "energy.a"});
-    const TaskId b = graph.addTask({"b", {r1}, 20, 2.0, "energy.b"});
-    const TaskId c = graph.addTask({"c", {r0, r1}, 5, 0, ""});
+    const TaskId a = graph.addTask({"a", {r0}, 10});
+    const TaskId b = graph.addTask({"b", {r1}, 20});
+    const TaskId c = graph.addTask({"c", {r0, r1}, 5});
     graph.addDep(c, a);
     graph.addDep(c, b);
 
-    const ExecResult fresh = graph.execute(pool);
+    ExecRecord fresh;
+    const ExecResult freshResult =
+        graph.execute(pool, nullptr, nullptr, nullptr, &fresh);
     ExecScratch scratch;
     for (int round = 0; round < 3; ++round) {
         pool.resetAll();
-        const ExecResult reused =
-            graph.execute(pool, nullptr, nullptr, &scratch);
-        EXPECT_EQ(reused.makespan, fresh.makespan);
-        EXPECT_EQ(reused.endTimes, fresh.endTimes);
+        ExecRecord reused;
+        const ExecResult reusedResult =
+            graph.execute(pool, nullptr, nullptr, &scratch, &reused);
+        EXPECT_EQ(reusedResult.makespan, freshResult.makespan);
+        EXPECT_EQ(reused.start, fresh.start);
+        EXPECT_EQ(reused.end, fresh.end);
     }
 }
 
@@ -283,7 +280,7 @@ TEST(TaskGraph, MovableAcrossBuildAndExecute)
     ResourcePool pool;
     const auto r = pool.create("r");
     TaskGraph built;
-    built.addTask({"a", {r}, 7, 0, ""});
+    built.addTask({"a", {r}, 7});
     TaskGraph moved = std::move(built);
     EXPECT_EQ(moved.execute(pool).makespan, 7u);
 
@@ -296,8 +293,8 @@ TEST(TaskGraphDeath, CycleIsDetected)
 {
     ResourcePool pool;
     TaskGraph graph;
-    const TaskId a = graph.addTask({"a", {}, 1, 0, ""});
-    const TaskId b = graph.addTask({"b", {}, 1, 0, ""});
+    const TaskId a = graph.addTask({"a", {}, 1});
+    const TaskId b = graph.addTask({"b", {}, 1});
     graph.addDep(a, b);
     graph.addDep(b, a);
     EXPECT_DEATH(graph.execute(pool), "cycle");
