@@ -19,8 +19,11 @@ void
 BM_CalendarQueue(benchmark::State &state)
 {
     // Preload n events, then drain: the queue depth the executor sees
-    // grows with batch size, so the 1<<14 row tracks the deep-queue
-    // cost against the shallow 1<<10 one.
+    // grows with batch size (~24K events at batch 4096), so the 1<<14
+    // and 1<<17 rows track the deep-queue cost against the shallow
+    // 1<<10 one. Items/s should fall only logarithmically with n; a
+    // far level that is rescanned per window shows up here as a
+    // throughput cliff at 1<<17.
     const int n = static_cast<int>(state.range(0));
     for (auto _ : state) {
         sim::CalendarQueue<std::uint64_t> queue;
@@ -35,7 +38,7 @@ BM_CalendarQueue(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_CalendarQueue)->Arg(1 << 10)->Arg(1 << 14);
+BENCHMARK(BM_CalendarQueue)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
 
 void
 BM_RouteHTree(benchmark::State &state)

@@ -15,13 +15,21 @@
  *
  * The store is striped for scalability: keys hash onto kStripes
  * independent stripes, and within a stripe the *hit* path is lock-free
- * — it reads an immutable published map through an atomic shared_ptr
+ * — it reads an immutable published map through an atomic raw pointer
  * and bumps a padded atomic hit counter, so a steady-state sweep (all
  * compiles warm) takes no lock on any thread. Only a miss touches the
  * stripe mutex, which implements the single-flight build: the builder
  * parks a shared future in the stripe's in-flight table, builds outside
  * the lock, then publishes a copy-on-write successor map. Racers that
  * arrive mid-build block on the future (and count as hits).
+ *
+ * Reclamation is deferred to the cache's destruction: a lock-free
+ * reader may still be walking a superseded map, so every map a stripe
+ * ever published stays alive in its retired list. Caches hold tens of
+ * keys (one per model or (model, config) pair), so n keys in a stripe
+ * retire n small maps of n^2/2 entries in total. A plain atomic pointer
+ * is used rather than std::atomic<std::shared_ptr>, whose internal
+ * lock ThreadSanitizer does not model.
  *
  * Values are handed out as shared immutable pointers: a cached value
  * may be used concurrently from many worker threads, so Value must be
@@ -40,6 +48,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 namespace lergan {
 
@@ -53,8 +62,7 @@ class MemoCache
     MemoCache()
     {
         for (Stripe &stripe : stripes_)
-            stripe.published.store(std::make_shared<const Map>(),
-                                   std::memory_order_relaxed);
+            stripe.publish(std::make_unique<const Map>());
     }
 
     /**
@@ -72,10 +80,11 @@ class MemoCache
     {
         Stripe &stripe = stripeFor(key);
         {
-            // Lock-free fast path: published maps are immutable, so a
-            // hit needs only the atomic pointer load (acquire pairs
-            // with the publishing store) and a counter bump.
-            const std::shared_ptr<const Map> published =
+            // Lock-free fast path: published maps are immutable and
+            // never freed before the cache, so a hit needs only the
+            // atomic pointer load (acquire pairs with the publishing
+            // store) and a counter bump.
+            const Map *published =
                 stripe.published.load(std::memory_order_acquire);
             if (auto it = published->find(key); it != published->end()) {
                 stripe.hits.fetch_add(1, std::memory_order_relaxed);
@@ -91,7 +100,7 @@ class MemoCache
             // Re-check under the stripe lock: the key may have been
             // published — or its build may be in flight — since the
             // fast-path miss.
-            const std::shared_ptr<const Map> published =
+            const Map *published =
                 stripe.published.load(std::memory_order_acquire);
             if (auto it = published->find(key); it != published->end()) {
                 stripe.hits.fetch_add(1, std::memory_order_relaxed);
@@ -124,12 +133,10 @@ class MemoCache
                 // published pointer, then the in-flight entry goes away
                 // (same critical section, so every racer sees the key
                 // in exactly one of the two tables).
-                auto next = std::make_shared<Map>(*stripe.published.load(
+                auto next = std::make_unique<Map>(*stripe.published.load(
                     std::memory_order_relaxed));
                 (*next)[key] = value;
-                stripe.published.store(
-                    std::shared_ptr<const Map>(std::move(next)),
-                    std::memory_order_release);
+                stripe.publish(std::move(next));
                 stripe.inflight.erase(key);
             }
             promise.set_value(value);
@@ -176,14 +183,17 @@ class MemoCache
         return total;
     }
 
-    /** Drop every entry and reset the counters. */
+    /**
+     * Drop every entry and reset the counters. Safe to race get(): the
+     * superseded maps, and so the values they point at, are released
+     * with the cache, not here.
+     */
     void
     clear()
     {
         for (Stripe &stripe : stripes_) {
             std::lock_guard lock(stripe.mutex);
-            stripe.published.store(std::make_shared<const Map>(),
-                                   std::memory_order_release);
+            stripe.publish(std::make_unique<const Map>());
             stripe.inflight.clear();
             stripe.hits.store(0, std::memory_order_relaxed);
             stripe.misses.store(0, std::memory_order_relaxed);
@@ -201,13 +211,26 @@ class MemoCache
     struct alignas(64) Stripe {
         /** Immutable snapshot of this stripe's completed entries; the
          *  hit path reads it without the mutex. */
-        std::atomic<std::shared_ptr<const Map>> published;
+        std::atomic<const Map *> published{nullptr};
         mutable std::mutex mutex;
+        /** Every map published so far, the current one last; owns them
+         *  until the cache dies (guarded by mutex). */
+        std::vector<std::unique_ptr<const Map>> retired;
         /** Single-flight table of builds in progress (guarded by
          *  mutex). */
         std::map<std::string, Future> inflight;
         std::atomic<std::uint64_t> hits{0};
         std::atomic<std::uint64_t> misses{0};
+
+        /** Make @p map the published snapshot (mutex held, or the
+         *  cache still under construction). */
+        void
+        publish(std::unique_ptr<const Map> map)
+        {
+            retired.push_back(std::move(map));
+            published.store(retired.back().get(),
+                            std::memory_order_release);
+        }
     };
 
     Stripe &

@@ -3,30 +3,35 @@
  * Two-level calendar (ladder) priority queue for discrete-event
  * simulation.
  *
- * The simulator's previous kernel was a binary heap: every push and pop
- * paid O(log n) comparisons plus a sift that moves whole entries. A DES
- * workload is far friendlier than the general case — events cluster
- * near the current time and the queue drains monotonically — which is
- * exactly what a calendar queue exploits:
+ * A plain binary heap pays O(log n) comparisons plus a sift that moves
+ * whole entries on every push and pop. A DES workload is friendlier
+ * than the general case — events cluster near the current time and the
+ * queue drains monotonically — so only the events outside a small
+ * current window need a heap at all:
  *
  *  - "near" holds the events inside the current time window, kept as a
  *    run sorted DESCENDING by (when, seq) so the next event pops off the
  *    back in O(1);
- *  - "far" holds everything beyond the window, completely unsorted, so
- *    scheduling a distant event is an O(1) append.
+ *  - "far" holds everything beyond the window as a binary min-heap on
+ *    (when, seq), so scheduling a distant event costs O(log n) and the
+ *    earliest far event is always at the top.
  *
- * When near drains, the next window is carved out of far: the window
- * width adapts to the observed event density (span / count), the
- * matching entries are swept into near with one partition + sort, and
- * the rest stay unsorted. Each event is therefore touched O(1) times
- * amortized outside of one small sort per window.
+ * When near drains, the next window is carved off the top of far: the
+ * window width adapts to the observed event density (span / count,
+ * with the span read from the heap top and a running maximum, so no
+ * scan), and the in-window entries are popped off the heap in
+ * ascending order straight into near. Each event is therefore pushed
+ * and popped once, O(log n) apiece, so a run is O(n log n) at any
+ * queue depth; an unsorted far level rescanned per window would make
+ * it O(n * depth), and the executor's depth grows with batch size.
  *
- * Determinism contract (same as the old heap): events fire in ascending
- * (when, seq) order, where seq is the schedule order — equal-time
- * events fire exactly in the order they were scheduled. The property
- * test in tests/test_properties.cc drives this queue and the reference
- * binary heap (sim/heap_event_queue.hh) with ~1M randomized operations
- * and asserts identical firing sequences.
+ * Determinism contract (same as the reference heap): events fire in
+ * ascending (when, seq) order, where seq is the schedule order —
+ * equal-time events fire exactly in the order they were scheduled. The
+ * property tests in tests/test_properties.cc drive this queue and the
+ * reference binary heap (sim/heap_event_queue.hh) through the same
+ * ~1M randomized operations, including a 1<<17-deep preload, and
+ * assert identical firing sequences.
  *
  * The queue is a template over the payload type so the task-graph
  * executor stores POD task events directly (no type erasure, no
@@ -88,7 +93,9 @@ class CalendarQueue
                 near_.begin(), near_.end(), entry, laterFirst);
             near_.insert(at, std::move(entry));
         } else {
+            farHi_ = std::max(farHi_, when);
             far_.push_back(std::move(entry));
+            std::push_heap(far_.begin(), far_.end(), laterFirst);
         }
         return id;
     }
@@ -144,6 +151,7 @@ class CalendarQueue
         live_ = 0;
         now_ = 0;
         windowEnd_ = 0;
+        farHi_ = 0;
     }
 
   private:
@@ -163,9 +171,10 @@ class CalendarQueue
     }
 
     /**
-     * Carve the next window out of far: pick a width matched to the
-     * observed density, sweep the in-window entries into near (sorted),
-     * keep the rest unsorted.
+     * Carve the next window off the far heap: pick a width matched to
+     * the observed density, then pop the in-window entries into near
+     * (empty here: pop() is the only caller) and reverse them into
+     * descending order.
      *
      * @return false when far is empty too (the queue is drained).
      */
@@ -174,12 +183,8 @@ class CalendarQueue
     {
         if (far_.empty())
             return false;
-        PicoSeconds lo = far_.front().when;
-        PicoSeconds hi = lo;
-        for (const Entry &entry : far_) {
-            lo = std::min(lo, entry.when);
-            hi = std::max(hi, entry.when);
-        }
+        const PicoSeconds lo = far_.front().when;
+        const PicoSeconds hi = farHi_;
         // Aim for ~kTargetPerWindow events per window; always make
         // progress (width >= 1 guarantees the minimum entry moves).
         const PicoSeconds span = hi - lo + 1;
@@ -190,30 +195,31 @@ class CalendarQueue
         // Unsigned-overflow-safe end of window.
         windowEnd_ = (lo + width < lo) ? hi + 1 : lo + width;
 
-        auto inWindow = [this](const Entry &entry) {
-            return entry.when < windowEnd_;
-        };
-        auto firstKept =
-            std::partition(far_.begin(), far_.end(), inWindow);
-        near_.reserve(near_.size() +
-                      static_cast<std::size_t>(firstKept - far_.begin()));
-        for (auto it = far_.begin(); it != firstKept; ++it)
-            near_.push_back(std::move(*it));
-        far_.erase(far_.begin(), firstKept);
-        std::sort(near_.begin(), near_.end(), laterFirst);
+        while (!far_.empty() && far_.front().when < windowEnd_) {
+            std::pop_heap(far_.begin(), far_.end(), laterFirst);
+            near_.push_back(std::move(far_.back()));
+            far_.pop_back();
+        }
+        std::reverse(near_.begin(), near_.end());
+        // Entries leave far in ascending order, so the running maximum
+        // stays exact until far empties.
+        if (far_.empty())
+            farHi_ = 0;
         return true;
     }
 
     static constexpr std::size_t kTargetPerWindow = 32;
 
     std::vector<Entry> near_; ///< current window, sorted descending
-    std::vector<Entry> far_;  ///< beyond the window, unsorted
+    /** Beyond the window: a heap whose top is the earliest entry. */
+    std::vector<Entry> far_;
     /** Lifecycle per event id; ids are dense, so a flat vector. */
     enum class State : std::uint8_t { Pending, Fired, Cancelled };
     std::vector<State> states_;
     std::size_t live_ = 0;
     PicoSeconds now_ = 0;
     PicoSeconds windowEnd_ = 0;
+    PicoSeconds farHi_ = 0; ///< latest when in far (0 when far is empty)
 };
 
 } // namespace sim

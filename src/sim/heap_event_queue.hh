@@ -3,48 +3,46 @@
  * Reference binary-heap event queue.
  *
  * This is the simulator's original O(log n) kernel, kept as the
- * executable specification of the (time, seq) determinism contract: the
- * property test in tests/test_properties.cc drives it and the
- * production calendar queue (sim/calendar_queue.hh) with the same ~1M
- * randomized schedule/fire/cancel operations and asserts identical
- * firing sequences. Anything still wanting a plain heap (it has the
- * better worst case for adversarial, non-clustered schedules) can use
- * it directly.
- *
- * Unlike the original, run() MOVES the top entry out of the heap
- * instead of copying it — the per-event std::function copy was pure
- * overhead. Cancellation is supported the same way as in the calendar
- * queue: a per-id state mark plus a pop-time skip.
+ * executable specification of the (when, seq) determinism contract: the
+ * property tests in tests/test_properties.cc drive it and the
+ * production calendar queue (sim/calendar_queue.hh) through one
+ * scenario loop of ~1M randomized schedule/fire/cancel operations and
+ * assert identical firing sequences. It therefore has the calendar
+ * queue's surface — scheduleAt/cancel/pop(Payload &)/reset over the
+ * same payload type — and nothing more. Cancellation works the same
+ * way too: a per-id state mark plus a pop-time skip.
  */
 
 #ifndef LERGAN_SIM_HEAP_EVENT_QUEUE_HH
 #define LERGAN_SIM_HEAP_EVENT_QUEUE_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/types.hh"
+#include "sim/calendar_queue.hh"
 
 namespace lergan {
 namespace sim {
 
 /** Binary-heap implementation of the deterministic event queue. */
+template <typename Payload>
 class HeapEventQueue
 {
   public:
-    using Callback = std::function<void()>;
-
     PicoSeconds now() const { return now_; }
 
+    /** Events scheduled and neither fired nor cancelled. */
+    std::size_t pending() const { return live_; }
+
     /**
-     * Schedule @p fn at absolute time @p when (@pre when >= now()).
+     * Schedule @p payload at absolute time @p when (@pre when >= now()).
      * @return the event's id, usable with cancel().
      */
     EventId
-    scheduleAt(PicoSeconds when, Callback fn)
+    scheduleAt(PicoSeconds when, Payload payload)
     {
         LERGAN_ASSERT(when >= now_,
                       "event scheduled into the past: ", when, " < ",
@@ -52,14 +50,9 @@ class HeapEventQueue
         const EventId id = states_.size();
         states_.push_back(State::Pending);
         ++live_;
-        events_.push(Entry{when, id, std::move(fn)});
+        events_.push_back(Entry{when, id, std::move(payload)});
+        std::push_heap(events_.begin(), events_.end(), laterFirst);
         return id;
-    }
-
-    EventId
-    scheduleAfter(PicoSeconds delay, Callback fn)
-    {
-        return scheduleAt(now_ + delay, std::move(fn));
     }
 
     /** Cancel a pending event; @return true when it was pending. */
@@ -73,35 +66,33 @@ class HeapEventQueue
         return true;
     }
 
-    /** Events scheduled and neither fired nor cancelled. */
-    std::size_t pending() const { return live_; }
-
-    /** Run until drained; @return the time of the last fired event. */
-    PicoSeconds
-    run()
+    /**
+     * Pop the next live event into @p out and advance now() to it.
+     * @return false when the queue is drained (now() unchanged).
+     */
+    bool
+    pop(Payload &out)
     {
         while (!events_.empty()) {
-            // Move (not copy) the entry out before pop: top() is const,
-            // but the heap no longer cares about the moved-from value.
-            Entry entry =
-                std::move(const_cast<Entry &>(events_.top()));
-            events_.pop();
+            std::pop_heap(events_.begin(), events_.end(), laterFirst);
+            Entry entry = std::move(events_.back());
+            events_.pop_back();
             if (states_[entry.seq] == State::Cancelled)
                 continue;
             states_[entry.seq] = State::Fired;
             --live_;
             now_ = entry.when;
-            entry.fn();
+            out = std::move(entry.payload);
+            return true;
         }
-        return now_;
+        return false;
     }
 
-    /** Drop all pending events and reset time to zero. */
+    /** Drop all pending events and reset time and ids to zero. */
     void
     reset()
     {
-        while (!events_.empty())
-            events_.pop();
+        events_.clear();
         states_.clear();
         live_ = 0;
         now_ = 0;
@@ -111,22 +102,21 @@ class HeapEventQueue
     struct Entry {
         PicoSeconds when;
         EventId seq;
-        Callback fn;
+        Payload payload;
     };
 
-    struct Later {
-        bool
-        operator()(const Entry &a, const Entry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
+    /** Heap order: the earliest (when, seq) sits on top. */
+    static bool
+    laterFirst(const Entry &a, const Entry &b)
+    {
+        if (a.when != b.when)
+            return a.when > b.when;
+        return a.seq > b.seq;
+    }
 
     enum class State : std::uint8_t { Pending, Fired, Cancelled };
 
-    std::priority_queue<Entry, std::vector<Entry>, Later> events_;
+    std::vector<Entry> events_;
     std::vector<State> states_;
     std::size_t live_ = 0;
     PicoSeconds now_ = 0;

@@ -7,8 +7,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <sstream>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
@@ -138,94 +138,135 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomDagProperty, testing::Range(0, 24));
  * sequences.
  */
 struct QueueScenario {
-    std::uint64_t seed = 0;
-    std::size_t cap = 0;        ///< max events scheduled in total
-    /** Draw follow-up offsets from {0, 1} with occasional long jumps
-     *  instead of uniform [0, 1000): keeps the calendar's windows
-     *  narrow so reschedules land on or just past the near/far edge
-     *  constantly — the regime the executor's completion loop creates
-     *  with clustered task end times. */
-    bool boundaryHeavy = false;
-    std::size_t scheduled = 0;  ///< ids issued so far
-    std::vector<std::uint64_t> order; ///< fired ids, in firing order
+    /** How follow-up events are placed relative to the firing one. */
+    enum class Offsets {
+        /** Uniform in [0, 1000). */
+        Uniform,
+        /** {0, 1} with occasional long jumps: keeps the calendar's
+         *  windows narrow so reschedules land on or just past the
+         *  near/far edge constantly — the regime the executor's
+         *  completion loop creates with clustered task end times. */
+        Boundary,
+        /** Half into the current window ({0, 1}), half far beyond the
+         *  preload horizon, and each follow-up may be cancelled right
+         *  away — near and far cancels over a deep far level. */
+        Deep,
+    };
 
-    /**
-     * Follow-up actions of event @p tag firing at time @p now.
-     * @p schedule takes an absolute time and must assign id
-     * `scheduled` (then this helper advances the counter);
-     * @p cancel takes an event id.
-     */
-    template <typename Schedule, typename Cancel>
-    void
-    onFire(std::uint64_t tag, PicoSeconds now, const Schedule &schedule,
-           const Cancel &cancel)
-    {
-        order.push_back(tag);
-        Rng rng(seed ^ (tag * 0x9e3779b97f4a7c15ULL + 0xbf58476d1ce4e5b9ULL));
-        const std::uint64_t follow = rng.nextBounded(3);
-        for (std::uint64_t i = 0; i < follow && scheduled < cap; ++i) {
-            const PicoSeconds offset =
-                boundaryHeavy
-                    ? (rng.nextBounded(8) == 0
-                           ? 500 + rng.nextBounded(500)
-                           : rng.nextBounded(2))
-                    : rng.nextBounded(1000);
-            schedule(now + offset);
-            ++scheduled;
-        }
-        if (rng.nextBounded(4) == 0)
-            cancel(rng.nextBounded(scheduled));
-    }
+    std::uint64_t seed = 0;
+    std::size_t initial = 0; ///< events preloaded before the first pop
+    std::size_t cap = 0;     ///< max events scheduled in total
+    PicoSeconds horizon = 1'000'000; ///< preload times lie in [0, horizon)
+    Offsets offsets = Offsets::Uniform;
+    /** Stop after this many firings, leaving the rest pending. */
+    std::size_t stopAfter = SIZE_MAX;
 };
 
-/** Run the scenario on the production calendar queue. */
-std::vector<std::uint64_t>
-calendarScenario(std::uint64_t seed, std::size_t initial, std::size_t cap,
-                 PicoSeconds horizon = 1'000'000, bool boundary = false)
+/** Payload carrying event id @p id: the tag itself, or an executor
+ *  event whose completion flag is derived from the id. */
+template <typename Payload>
+Payload
+payloadFor(std::uint64_t id)
 {
-    sim::CalendarQueue<std::uint64_t> queue;
-    QueueScenario s{seed, cap, boundary, 0, {}};
-    Rng rng(seed);
-    for (std::size_t i = 0; i < initial; ++i) {
-        queue.scheduleAt(rng.nextBounded(horizon), s.scheduled);
-        ++s.scheduled;
-    }
-    std::uint64_t tag = 0;
-    while (queue.pop(tag)) {
-        s.onFire(
-            tag, queue.now(),
-            [&](PicoSeconds when) { queue.scheduleAt(when, s.scheduled); },
-            [&](std::uint64_t id) { queue.cancel(id); });
-    }
-    EXPECT_EQ(queue.pending(), 0u);
-    return std::move(s.order);
+    if constexpr (std::is_same_v<Payload, TaskEvent>)
+        return TaskEvent{static_cast<TaskId>(id), id % 2 == 1};
+    else
+        return id;
 }
 
-/** Run the scenario on the reference binary heap. */
-std::vector<std::uint64_t>
-heapScenario(std::uint64_t seed, std::size_t initial, std::size_t cap,
-             PicoSeconds horizon = 1'000'000, bool boundary = false)
+std::uint64_t eventTag(std::uint64_t tag) { return tag; }
+
+std::uint64_t
+eventTag(const TaskEvent &event)
 {
-    sim::HeapEventQueue queue;
-    QueueScenario s{seed, cap, boundary, 0, {}};
-    std::function<void(std::uint64_t)> fire = [&](std::uint64_t tag) {
-        s.onFire(
-            tag, queue.now(),
-            [&](PicoSeconds when) {
-                const std::uint64_t id = s.scheduled;
-                queue.scheduleAt(when, [&fire, id] { fire(id); });
-            },
-            [&](std::uint64_t id) { queue.cancel(id); });
+    EXPECT_EQ(event.complete, event.task % 2 == 1) << "payload mangled";
+    return event.task;
+}
+
+/** Run @p s on @p queue (the calendar queue or the reference heap);
+ *  @return the fired ids in firing order. */
+template <template <typename> class Queue, typename Payload>
+std::vector<std::uint64_t>
+runScenario(Queue<Payload> &queue, const QueueScenario &s)
+{
+    using Offsets = QueueScenario::Offsets;
+    std::vector<std::uint64_t> order;
+    std::size_t scheduled = 0;
+    auto schedule = [&](PicoSeconds when) {
+        queue.scheduleAt(when, payloadFor<Payload>(scheduled));
+        ++scheduled;
     };
-    Rng rng(seed);
-    for (std::size_t i = 0; i < initial; ++i) {
-        const std::uint64_t id = s.scheduled;
-        queue.scheduleAt(rng.nextBounded(horizon), [&fire, id] { fire(id); });
-        ++s.scheduled;
+
+    Rng rng(s.seed);
+    for (std::size_t i = 0; i < s.initial; ++i) {
+        // Deep preloads land on 4096 distinct instants: ~32-way ties.
+        schedule(s.offsets == Offsets::Deep
+                     ? rng.nextBounded(4096) * (s.horizon / 4096)
+                     : rng.nextBounded(s.horizon));
     }
-    queue.run();
-    EXPECT_EQ(queue.pending(), 0u);
-    return std::move(s.order);
+
+    Payload event{};
+    while (order.size() < s.stopAfter && queue.pop(event)) {
+        const std::uint64_t tag = eventTag(event);
+        order.push_back(tag);
+        Rng follow(s.seed ^
+                   (tag * 0x9e3779b97f4a7c15ULL + 0xbf58476d1ce4e5b9ULL));
+        const std::uint64_t count = follow.nextBounded(3);
+        for (std::uint64_t i = 0; i < count && scheduled < s.cap; ++i) {
+            PicoSeconds offset = 0;
+            switch (s.offsets) {
+              case Offsets::Uniform:
+                offset = follow.nextBounded(1000);
+                break;
+              case Offsets::Boundary:
+                offset = follow.nextBounded(8) == 0
+                             ? 500 + follow.nextBounded(500)
+                             : follow.nextBounded(2);
+                break;
+              case Offsets::Deep:
+                offset = follow.nextBounded(2) == 0
+                             ? follow.nextBounded(2)
+                             : s.horizon + follow.nextBounded(s.horizon);
+                break;
+            }
+            schedule(queue.now() + offset);
+            if (s.offsets == Offsets::Deep && follow.nextBounded(8) == 0)
+                queue.cancel(scheduled - 1);
+        }
+        if (follow.nextBounded(4) == 0)
+            queue.cancel(follow.nextBounded(scheduled));
+    }
+    if (order.size() < s.stopAfter) { // drained
+        EXPECT_EQ(queue.pending(), 0u);
+    }
+    return order;
+}
+
+/** Assert @p s fires identically on the calendar queue and the
+ *  reference heap, both carrying @p Payload. */
+template <typename Payload>
+void
+expectMatchesHeap(sim::CalendarQueue<Payload> &calendar,
+                  sim::HeapEventQueue<Payload> &heap,
+                  const QueueScenario &s)
+{
+    const auto fired = runScenario(calendar, s);
+    const auto expect = runScenario(heap, s);
+    ASSERT_EQ(fired.size(), expect.size()) << "seed " << s.seed;
+    // EXPECT_EQ on the vectors would print megabytes on failure; find
+    // the first divergence instead.
+    for (std::size_t i = 0; i < fired.size(); ++i)
+        ASSERT_EQ(fired[i], expect[i])
+            << "first divergence at firing #" << i << ", seed " << s.seed;
+}
+
+template <typename Payload = std::uint64_t>
+void
+expectMatchesHeap(const QueueScenario &s)
+{
+    sim::CalendarQueue<Payload> calendar;
+    sim::HeapEventQueue<Payload> heap;
+    expectMatchesHeap(calendar, heap, s);
 }
 
 TEST(CalendarQueueProperty, MatchesHeapReferenceOverAMillionOps)
@@ -233,19 +274,39 @@ TEST(CalendarQueueProperty, MatchesHeapReferenceOverAMillionOps)
     // Two seeds x (~250k schedules + ~230k fires + ~60k cancels) each:
     // over a million queue operations in total, with heavy same-time
     // collisions (200k initial events over a 1M-tick horizon).
-    for (const std::uint64_t seed : {UINT64_C(42), UINT64_C(20180614)}) {
-        const std::size_t initial = 200'000;
-        const std::size_t cap = 250'000;
-        const auto calendar = calendarScenario(seed, initial, cap);
-        const auto heap = heapScenario(seed, initial, cap);
-        ASSERT_EQ(calendar.size(), heap.size()) << "seed " << seed;
-        // EXPECT_EQ on the vectors would print megabytes on failure;
-        // find the first divergence instead.
-        for (std::size_t i = 0; i < calendar.size(); ++i)
-            ASSERT_EQ(calendar[i], heap[i])
-                << "first divergence at firing #" << i << ", seed "
-                << seed;
-    }
+    for (const std::uint64_t seed : {UINT64_C(42), UINT64_C(20180614)})
+        expectMatchesHeap({seed, 200'000, 250'000});
+}
+
+TEST(CalendarQueueProperty, ExecutorTaskEventsMatchHeapReference)
+{
+    // The executor's own payload type through the same harness.
+    expectMatchesHeap<TaskEvent>({UINT64_C(1234), 100'000, 150'000});
+}
+
+TEST(CalendarQueueProperty, DeepQueueThenResetMatchesHeap)
+{
+    // A 1<<17-deep preload over a wide horizon (~32-way same-time ties)
+    // with follow-ups into the current window and far beyond it, and
+    // cancels of both: the deep far level the executor builds at large
+    // batch. The run stops with over 50K events still pending; the
+    // same queues are then reset and reused for a shallow scenario, as
+    // ExecScratch reuses one queue across executions — no window or
+    // far-level state may leak across reset().
+    sim::CalendarQueue<std::uint64_t> calendar;
+    sim::HeapEventQueue<std::uint64_t> heap;
+    expectMatchesHeap(calendar, heap,
+                      {UINT64_C(99), std::size_t{1} << 17,
+                       (std::size_t{1} << 17) + 60'000, 1ULL << 30,
+                       QueueScenario::Offsets::Deep, 90'000});
+    EXPECT_GT(calendar.pending(), 50'000u);
+    EXPECT_EQ(calendar.pending(), heap.pending());
+    calendar.reset();
+    heap.reset();
+    EXPECT_EQ(calendar.now(), 0u);
+    expectMatchesHeap(calendar, heap,
+                      {UINT64_C(5), 2'000, 3'000, 600,
+                       QueueScenario::Offsets::Boundary});
 }
 
 TEST(CalendarQueueProperty, AdversarialSameTimeBursts)
@@ -352,18 +413,9 @@ TEST(CalendarQueueProperty, BoundaryHeavySeededScenarioMatchesHeap)
     // drawn from {now, now + 1} plus occasional long jumps over a short
     // horizon: windows stay narrow, so fire-time reschedules land on or
     // just past the near/far edge all the time instead of rarely.
-    for (const std::uint64_t seed : {UINT64_C(3), UINT64_C(777)}) {
-        const std::size_t initial = 30'000;
-        const std::size_t cap = 40'000;
-        const auto calendar =
-            calendarScenario(seed, initial, cap, 600, true);
-        const auto heap = heapScenario(seed, initial, cap, 600, true);
-        ASSERT_EQ(calendar.size(), heap.size()) << "seed " << seed;
-        for (std::size_t i = 0; i < calendar.size(); ++i)
-            ASSERT_EQ(calendar[i], heap[i])
-                << "first divergence at firing #" << i << ", seed "
-                << seed;
-    }
+    for (const std::uint64_t seed : {UINT64_C(3), UINT64_C(777)})
+        expectMatchesHeap({seed, 30'000, 40'000, 600,
+                           QueueScenario::Offsets::Boundary});
 }
 
 /** Routing invariants over bank pairs of a full machine. */
