@@ -1,11 +1,12 @@
 /**
  * @file
- * Trace one training iteration and export it in the Chrome trace-event
+ * Record one training iteration and export it in the Chrome trace-event
  * format (open chrome://tracing or https://ui.perfetto.dev and load the
  * file) to see how items pipeline through banks and where wires contend.
- * The export includes counter tracks — event-queue depth, ready/inflight
- * task counts, transfer occupancy and the busiest wire's busy curve —
- * rendered by Perfetto as line charts above the task spans.
+ * The trace is rendered from the run's execution record after the run
+ * (traceRun). It includes counter tracks — the in-flight task count,
+ * transfer occupancy and the busiest wire's busy curve — rendered by
+ * Perfetto as line charts above the task spans.
  *
  * Usage:
  *   ./build/examples/trace_dump --benchmark cGAN --batch 8 \
@@ -51,17 +52,18 @@ main(int argc, char **argv)
     const GanModel model = makeBenchmark(args.get("benchmark"));
     LerGanAccelerator accelerator(model, config);
 
-    // Tracing also records the sim.queue.depth / sim.ready.tasks /
-    // sim.inflight.tasks counter tracks; the registry (used only when
-    // --metrics is given) accumulates the numeric rollups of the same
-    // run.
+    // The registry (used only when --metrics is given) accumulates the
+    // numeric rollups of the same run: sim.queue.depth, sim.ready.tasks
+    // and sim.inflight.tasks histograms among them.
     MetricsRegistry registry;
     MetricsRegistry *metrics =
         args.given("metrics") ? &registry : nullptr;
-    Tracer tracer;
+    const auto tmpl = accelerator.makeIterationTemplate();
+    ExecRecord record;
     const TrainingReport report =
-        accelerator.trainIterations(1, &tracer, metrics);
+        accelerator.trainIterations(1, metrics, tmpl.get(), &record);
     report.print(std::cout);
+    Tracer tracer = traceRun(tmpl->graph, record);
 
     std::cout << "\ntimeline head:\n";
     tracer.printTimeline(std::cout, args.getInt("timeline"));

@@ -1,9 +1,8 @@
 #!/bin/sh
 # Full verification: plain build + complete test suite, the fig19
 # critical-path and span-tracing overhead guards, the benchmark
-# self-test, then a ThreadSanitizer build of the execution-engine tests
-# (ctest label `tsan`) and an ASan+UBSan build of every non-golden test
-# (ctest -LE golden). Run from anywhere; builds land in build/,
+# self-test, then a ThreadSanitizer build and an ASan+UBSan build, each
+# running every non-golden test (ctest -LE golden). Run from anywhere; builds land in build/,
 # build-tsan/, build-asan/ and .bench_build/.
 #
 # Usage: scripts/check.sh [jobs]
@@ -57,11 +56,14 @@ fi
 echo "== benchmark self-test (perfbench/selftest.py) =="
 python3 "$root/perfbench/selftest.py"
 
-# The exec tests exercise the worker pool and the compile cache under
-# real concurrency, and the fault tests drive the Monte Carlo driver's
-# seeded trials across the same pool; TSan is the check that the
-# "shared immutable compiled model, per-worker mutable state" contract
-# actually holds.
+# ThreadSanitizer over the whole unit suite: the exec tests drive the
+# worker pool and the compile cache under real concurrency, the fault
+# tests fan the Monte Carlo driver's seeded trials across the same pool,
+# and the sweep, session, telemetry, tracing and critpath tests run the
+# executor and its observers from worker lanes. TSan is the check that
+# the "shared immutable compiled model, per-worker mutable state"
+# contract holds everywhere. The golden tests are left out, as in the
+# ASan+UBSan stage below.
 echo "== ThreadSanitizer availability probe =="
 probe_dir=$(mktemp -d)
 trap 'rm -rf "$probe_dir"' EXIT
@@ -71,20 +73,16 @@ int main() { std::thread([] {}).join(); }
 EOF
 if c++ -std=c++20 -fsanitize=thread "$probe_dir/probe.cc" \
         -o "$probe_dir/probe" 2>/dev/null && "$probe_dir/probe"; then
-    echo "== TSan build of the exec + fault + telemetry + critpath +" \
-         "tracing tests (ctest -L 'tsan|faults|telemetry|critpath|tracing') =="
+    echo "== TSan build of every test (ctest -LE golden) =="
     cmake -B "$root/build-tsan" -S "$root" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="-fsanitize=thread" >/dev/null
-    cmake --build "$root/build-tsan" -j "$jobs" \
-        --target test_exec test_faults test_telemetry test_critpath \
-        test_tracing
-    ctest --test-dir "$root/build-tsan" \
-        -L 'tsan|faults|telemetry|critpath|tracing' \
-        --output-on-failure -j "$jobs"
+    cmake --build "$root/build-tsan" -j "$jobs"
+    ctest --test-dir "$root/build-tsan" -LE golden --output-on-failure \
+        -j "$jobs"
 else
     echo "ThreadSanitizer unavailable on this toolchain; skipping the" \
-         "tsan-labelled tests (plain suite already ran)."
+         "TSan rerun (plain suite already ran)."
 fi
 
 # Address- and UBSanitizer over the whole unit suite: the sim core,

@@ -8,10 +8,10 @@
 #include "common/strings.hh"
 #include "core/compiler.hh"
 #include "core/machine.hh"
-#include "core/phase_report.hh"
 #include "core/report.hh"
 #include "core/validate.hh"
-#include "sim/trace.hh"
+#include "sim/exec_record.hh"
+#include "sim/task_graph.hh"
 #include "zfdr/formulas.hh"
 #include "zfdr/reshape.hh"
 
@@ -130,69 +130,53 @@ checkEnergy(const AuditInput &input, const AuditOptions &options,
 }
 
 /**
- * (b) Time consistency. One trace event per simulated task, every
- * interval inside [0, makespan], the phase grouping a partition of the
- * events whose union reaches exactly the event-queue makespan, and the
- * scaled "total.time_ms" aggregate consistent with the iteration time.
+ * (b) Time consistency. One record entry per task of the executed
+ * graph, every interval inside [0, makespan], the last end exactly the
+ * event-queue makespan, and the scaled "total.time_ms" aggregate
+ * consistent with the iteration time.
  */
 bool
 checkTiming(const AuditInput &input, const AuditOptions &options,
             AuditVerdict &verdict)
 {
-    if (input.trace == nullptr)
+    if (input.graph == nullptr || input.record == nullptr)
         return false; // nothing to audit against
 
     const StatSet &stats = input.report->stats;
     const PicoSeconds makespan = input.report->iterationTime;
-    const auto &events = input.trace->events();
+    const TaskGraph &graph = *input.graph;
+    const ExecRecord &record = *input.record;
+    const std::size_t tasks = graph.size();
 
     if (stats.has("sim.tasks") &&
-        stats.get("sim.tasks") != static_cast<double>(events.size())) {
-        fail(verdict, "timing", "trace has ", events.size(),
-             " events for ", stats.get("sim.tasks"),
-             " simulated tasks");
+        stats.get("sim.tasks") != static_cast<double>(tasks)) {
+        fail(verdict, "timing", "graph has ", tasks, " tasks for ",
+             stats.get("sim.tasks"), " simulated tasks");
+    }
+    if (record.start.size() != tasks || record.end.size() != tasks) {
+        fail(verdict, "timing", "record has ", record.start.size(),
+             " starts and ", record.end.size(), " ends for ", tasks,
+             " tasks");
+        return true; // intervals cannot be matched to tasks
     }
 
     PicoSeconds last_end = 0;
-    std::uint64_t busy_total = 0;
-    for (const TraceEvent &event : events) {
-        if (event.end < event.start) {
-            fail(verdict, "timing", event.label, " ends (", event.end,
-                 ") before it starts (", event.start, ")");
+    for (TaskId id = 0; id < tasks; ++id) {
+        const PicoSeconds start = record.start[id];
+        const PicoSeconds end = record.end[id];
+        if (end < start) {
+            fail(verdict, "timing", graph.task(id).label, " ends (", end,
+                 ") before it starts (", start, ")");
         }
-        if (event.end > makespan) {
-            fail(verdict, "timing", event.label, " ends at ", event.end,
-                 " ps, after the makespan ", makespan, " ps");
+        if (end > makespan) {
+            fail(verdict, "timing", graph.task(id).label, " ends at ",
+                 end, " ps, after the makespan ", makespan, " ps");
         }
-        last_end = std::max(last_end, event.end);
-        busy_total += event.end - event.start;
+        last_end = std::max(last_end, end);
     }
-    if (!events.empty() && last_end != makespan) {
+    if (tasks > 0 && last_end != makespan) {
         fail(verdict, "timing", "last task ends at ", last_end,
              " ps but the event-queue makespan is ", makespan, " ps");
-    }
-
-    // The phase grouping must partition the events: summed busy times
-    // and task counts equal the raw totals, and the phase windows must
-    // reach the makespan.
-    std::uint64_t phase_busy = 0, phase_tasks = 0;
-    PicoSeconds phase_end = 0;
-    for (const PhaseTime &phase : phaseTimes(*input.trace)) {
-        phase_busy += phase.busy;
-        phase_tasks += phase.tasks;
-        phase_end = std::max(phase_end, phase.lastEnd);
-    }
-    if (phase_tasks != events.size()) {
-        fail(verdict, "timing", "phase grouping covers ", phase_tasks,
-             " of ", events.size(), " trace events");
-    }
-    if (phase_busy != busy_total) {
-        fail(verdict, "timing", "phase busy times sum to ", phase_busy,
-             " ps but the trace holds ", busy_total, " ps of work");
-    }
-    if (!events.empty() && phase_end != makespan) {
-        fail(verdict, "timing", "phase windows end at ", phase_end,
-             " ps but the makespan is ", makespan, " ps");
     }
 
     if (stats.has("total.time_ms")) {
@@ -281,9 +265,10 @@ checkMapping(const AuditInput &input, const AuditOptions &,
  * (e) Graceful degradation. A run compiled against a fault map (or a
  * manual failed-tile list) must route around every unusable tile: no
  * allocation range reserves crossbars there, the placement's bank usage
- * is zero there, and — when the run was traced — no task executed on a
- * killed tile's compute resource. Skipped entirely on healthy runs so
- * their verdicts (and the goldens that pin them) are unchanged.
+ * is zero there, and — when the executed graph and its record are
+ * given — no task ran with a killed tile's compute resource as its
+ * first resource. Skipped entirely on healthy runs so their verdicts
+ * (and the goldens that pin them) are unchanged.
  */
 bool
 checkFaults(const AuditInput &input, const AuditOptions &,
@@ -330,10 +315,10 @@ checkFaults(const AuditInput &input, const AuditOptions &,
         }
     }
 
-    if (input.trace != nullptr) {
+    if (input.graph != nullptr && input.record != nullptr) {
         // Re-derive the resource ids of the killed tiles' compute
         // pipelines from a fresh machine of the same config and make
-        // sure no traced task ran on one.
+        // sure no executed task ran on one.
         const Machine machine(*input.config);
         std::set<std::size_t> dead;
         for (const auto &[bank, tile] : unusable) {
@@ -341,12 +326,15 @@ checkFaults(const AuditInput &input, const AuditOptions &,
                 tile < input.config->reram.tilesPerBank)
                 dead.insert(machine.tileComputeRes(bank, tile));
         }
-        for (const TraceEvent &event : input.trace->events()) {
-            if (dead.count(event.lane)) {
-                fail(verdict, "faults", event.label,
+        const TaskGraph &graph = *input.graph;
+        for (TaskId id = 0; id < graph.size(); ++id) {
+            const Task &task = graph.task(id);
+            if (!task.resources.empty() &&
+                dead.count(task.resources.front())) {
+                fail(verdict, "faults", task.label,
                      " executed on the compute resource of a killed"
-                     " tile (lane ",
-                     event.lane, ")");
+                     " tile (resource ",
+                     task.resources.front(), ")");
             }
         }
     }

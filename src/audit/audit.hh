@@ -14,9 +14,9 @@
  *    statistic, and the prefix-summed total must match the snapshot the
  *    accelerator took when the run finished (catches post-run mutation
  *    and scaling bugs in `total.*` aggregates);
- *  - timing:  the traced task intervals must partition into phases
- *    whose union reaches exactly the event-queue makespan, with one
- *    trace event per simulated task;
+ *  - timing:  the execution record must hold one interval per task of
+ *    the executed graph, all inside [0, makespan], the last ending
+ *    exactly at the event-queue makespan;
  *  - zeros:   the paper's closed-form ZFDR class counts (Eq. 11-13)
  *    must match direct window enumeration for every reshaped op of the
  *    compiled model;
@@ -26,8 +26,9 @@
  *    and killed tiles must hold zero bank usage. Skipped on healthy
  *    runs — the verdict of a fault-free simulation is unchanged.
  *
- * Checks run after a simulation, over its immutable outputs; they never
- * mutate anything. Wire-up: SimulationSession::auditWith() /
+ * Checks run after a simulation, over its immutable outputs (the
+ * executed graph and its ExecRecord among them); they never mutate
+ * anything. Wire-up: SimulationSession::auditWith() /
  * ExperimentSweep::auditWith() run a context after every point and
  * surface the verdict (core/api.hh, core/sweep.hh).
  */
@@ -44,8 +45,10 @@
 namespace lergan {
 
 class AcceleratorConfig;
+class TaskGraph;
 class Tracer;
 struct CompiledGan;
+struct ExecRecord;
 struct GanModel;
 struct TrainingReport;
 
@@ -55,7 +58,7 @@ struct AuditOptions {
     bool enabled = false;
     /** (a) energy conservation across component families. */
     bool energy = true;
-    /** (b) phase/makespan consistency of the traced run. */
+    /** (b) record/makespan consistency of the executed run. */
     bool timing = true;
     /** (c) ZFDR closed forms vs. direct enumeration. */
     bool zeros = true;
@@ -89,7 +92,7 @@ struct AuditFinding {
 struct AuditVerdict {
     /** True once a context actually ran (default-constructed = not). */
     bool ran = false;
-    /** Checks that executed (a trace-less timing check is skipped). */
+    /** Checks that executed (a record-less timing check is skipped). */
     std::size_t checksRun = 0;
     /** Every violated invariant, in check order. */
     std::vector<AuditFinding> failures;
@@ -113,8 +116,13 @@ struct AuditInput {
     const AcceleratorConfig *config = nullptr;
     const CompiledGan *compiled = nullptr;
     const TrainingReport *report = nullptr;
-    /** Trace of the simulated iteration; null skips the timing check. */
-    const Tracer *trace = nullptr;
+    /** Unread; keeps perfbench/workload.cc's five-member initializer
+     *  compiling until it moves to graph/record (ROADMAP item 5). */
+    const Tracer *unusedTrace = nullptr;
+    /** The executed graph and its record; either null skips the
+     *  timing check and the per-task part of the faults check. */
+    const TaskGraph *graph = nullptr;
+    const ExecRecord *record = nullptr;
 };
 
 /** Thrown by audited session runs when a check fails. */
@@ -143,7 +151,7 @@ class AuditContext
     /**
      * One invariant. Inspects the input, appends failures to the
      * verdict, and returns whether it actually ran (false = skipped,
-     * e.g. the timing check without a trace).
+     * e.g. the timing check without a record).
      */
     using CheckFn = std::function<bool(const AuditInput &,
                                        const AuditOptions &,

@@ -664,14 +664,11 @@ LerGanAccelerator::makeIterationTemplate()
 }
 
 TrainingReport
-LerGanAccelerator::trainIterations(int n, Tracer *tracer,
-                                   MetricsRegistry *metrics,
+LerGanAccelerator::trainIterations(int n, MetricsRegistry *metrics,
                                    const IterationTemplate *tmpl,
                                    ExecRecord *record)
 {
     LERGAN_ASSERT(n > 0, "need at least one iteration");
-    if (tracer)
-        tracer->clear();
     // The rebuild path is replay of a just-built template, so both
     // paths produce byte-identical results by construction.
     std::shared_ptr<const IterationTemplate> own;
@@ -693,7 +690,7 @@ LerGanAccelerator::trainIterations(int n, Tracer *tracer,
     }
 
     const ExecResult exec = tmpl->graph.execute(
-        machine_.pool(), tracer, metrics,
+        machine_.pool(), metrics,
         externalScratch_ ? externalScratch_ : &scratch_, record);
     if (metrics) {
         metrics->counter("sim.iterations").add(1);

@@ -27,10 +27,11 @@
 #include "core/report.hh"
 #include "reram/tile.hh"
 #include "sim/task_graph.hh"
-#include "sim/trace.hh"
 #include "telemetry/metrics.hh"
 
 namespace lergan {
+
+class Tracer;
 
 /**
  * One training iteration, compiled to a replayable template.
@@ -98,9 +99,6 @@ class LerGanAccelerator
      * scaled by @p n in "total.*" keys.
      *
      * Every argument past @p n is optional:
-     *  - @p tracer records the simulated iteration's task intervals
-     *    (cleared first; exportable as a Chrome trace) — what the audit
-     *    layer cross-checks phase times against;
      *  - @p metrics accumulates sim-time telemetry (queue depth,
      *    per-link flit traffic, controller transitions, resource
      *    contention); only integer instruments are used, so totals are
@@ -108,18 +106,25 @@ class LerGanAccelerator
      *  - @p tmpl is replayed instead of rebuilding the iteration DAG —
      *    the fast path of repeated runs. It must come from
      *    makeIterationTemplate() of an accelerator with the same
-     *    (model, config) pair; results, traces and metrics are
-     *    identical to the rebuild path by construction (the rebuild
-     *    path itself builds a template and replays it once);
-     *  - @p record is filled with the execution's dependence record
-     *    (binding predecessors, reservation order — sim/exec_record.hh)
-     *    for critical-path analysis. Recording never changes results,
-     *    traces or metrics.
+     *    (model, config) pair; results and metrics are identical to
+     *    the rebuild path by construction (the rebuild path itself
+     *    builds a template and replays it once);
+     *  - @p record is filled with the execution record
+     *    (sim/exec_record.hh) the audit, critpath and traceRun read.
+     *    Recording never changes results or metrics.
      */
-    TrainingReport trainIterations(int n, Tracer *tracer = nullptr,
-                                   MetricsRegistry *metrics = nullptr,
+    TrainingReport trainIterations(int n, MetricsRegistry *metrics = nullptr,
                                    const IterationTemplate *tmpl = nullptr,
                                    ExecRecord *record = nullptr);
+
+    /** The Tracer is ignored; keeps perfbench/workload.cc compiling
+     *  until it moves to the form above (ROADMAP item 5). */
+    TrainingReport trainIterations(int n, Tracer *, MetricsRegistry *metrics,
+                                   const IterationTemplate *tmpl,
+                                   ExecRecord *record)
+    {
+        return trainIterations(n, metrics, tmpl, record);
+    }
 
     /**
      * The report trainIterations(n, ..., tmpl) would produce, with the

@@ -28,8 +28,8 @@
  * against the same pair of memo caches.
  *
  * Below the session, LerGanAccelerator::trainIterations is the one
- * simulation entry point (optional tracer, metrics, template and
- * dependence record).
+ * simulation entry point (optional metrics, template and execution
+ * record).
  */
 
 #ifndef LERGAN_CORE_API_HH
@@ -95,9 +95,9 @@ class SimulationSession
     /**
      * Simulate @p iterations training iterations of @p model.
      *
-     * With auditing enabled (auditWith), the run is additionally traced
-     * and cross-checked by an AuditContext; a violated invariant throws
-     * AuditError. Audit failures are simulator bugs, not user errors.
+     * With auditing enabled (auditWith), the run is additionally
+     * recorded and cross-checked by an AuditContext; a violated invariant
+     * throws AuditError. Audit failures are simulator bugs, not user errors.
      * @p iterations < 1 throws std::invalid_argument.
      */
     TrainingReport run(const GanModel &model, int iterations = 1) const;

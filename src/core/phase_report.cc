@@ -9,21 +9,23 @@
 namespace lergan {
 
 std::vector<PhaseTime>
-phaseTimes(const Tracer &tracer)
+phaseTimes(const TaskGraph &graph, const ExecRecord &record)
 {
     // Labels classify into the same phase families the critical-path
     // rollups use (taskPhaseOf), so both reports bucket identically.
     std::map<std::string, PhaseTime> families;
-    for (const TraceEvent &event : tracer.events()) {
-        PhaseTime &family = families[taskPhaseOf(event.label)];
+    for (TaskId id = 0; id < graph.size(); ++id) {
+        const PicoSeconds start = record.start[id];
+        const PicoSeconds end = record.end[id];
+        PhaseTime &family = families[taskPhaseOf(graph.task(id).label)];
         if (family.tasks == 0) {
-            family.firstStart = event.start;
-            family.lastEnd = event.end;
+            family.firstStart = start;
+            family.lastEnd = end;
         } else {
-            family.firstStart = std::min(family.firstStart, event.start);
-            family.lastEnd = std::max(family.lastEnd, event.end);
+            family.firstStart = std::min(family.firstStart, start);
+            family.lastEnd = std::max(family.lastEnd, end);
         }
-        family.busy += event.end - event.start;
+        family.busy += end - start;
         ++family.tasks;
     }
     std::vector<PhaseTime> result;
@@ -39,14 +41,15 @@ phaseTimes(const Tracer &tracer)
 }
 
 void
-printPhaseTimes(std::ostream &os, const Tracer &tracer,
-                PicoSeconds makespan)
+printPhaseTimes(std::ostream &os, const TaskGraph &graph,
+                const ExecRecord &record)
 {
+    const PicoSeconds makespan = record.makespan;
     os << std::left << std::setw(12) << "phase" << std::right
        << std::setw(12) << "window ms" << std::setw(12) << "busy ms"
        << std::setw(10) << "tasks" << std::setw(14) << "span/iter"
        << '\n';
-    for (const PhaseTime &phase : phaseTimes(tracer)) {
+    for (const PhaseTime &phase : phaseTimes(graph, record)) {
         os << std::left << std::setw(12) << phase.name << std::right
            << std::fixed << std::setprecision(3) << std::setw(12)
            << psToMs(phase.span()) << std::setw(12)

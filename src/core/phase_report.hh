@@ -1,9 +1,9 @@
 /**
  * @file
- * Per-phase timing analysis over a traced simulation run.
+ * Per-phase timing analysis over a recorded simulation run.
  *
  * Compute-task labels carry their phase ("D.l2.conv@D.fwd"); grouping
- * trace events by that suffix shows where iteration time goes and how
+ * the recorded task intervals by that suffix shows where iteration time goes and how
  * much the phases overlap (the pipelined dataflows of the paper's
  * Fig. 7/8/13: error transfer runs while forward propagation of later
  * items is still in flight).
@@ -16,7 +16,8 @@
 #include <string>
 #include <vector>
 
-#include "sim/trace.hh"
+#include "sim/exec_record.hh"
+#include "sim/task_graph.hh"
 
 namespace lergan {
 
@@ -38,16 +39,17 @@ struct PhaseTime {
 };
 
 /**
- * Group a run's trace events into phases. Compute tasks group by their
- * "@phase" label suffix; transfer ("xfer:"), load ("load:") and update
- * ("update:", "*.grad.readout", "*.update.cpu") tasks get their own
- * families; the rest lands in "other".
+ * Group the tasks of a recorded run of @p graph into phases. Compute
+ * tasks group by their "@phase" label suffix; transfer ("xfer:"), load
+ * ("load:") and update ("update:", "*.grad.readout", "*.update.cpu")
+ * tasks get their own families; the rest lands in "other".
  */
-std::vector<PhaseTime> phaseTimes(const Tracer &tracer);
+std::vector<PhaseTime> phaseTimes(const TaskGraph &graph,
+                                  const ExecRecord &record);
 
-/** Print the phase table with overlap ratios (busy / span). */
-void printPhaseTimes(std::ostream &os, const Tracer &tracer,
-                     PicoSeconds makespan);
+/** Print the phase table with overlap ratios (span / makespan). */
+void printPhaseTimes(std::ostream &os, const TaskGraph &graph,
+                     const ExecRecord &record);
 
 } // namespace lergan
 

@@ -8,7 +8,6 @@
 #include "exec/thread_pool.hh"
 #include "critpath/critpath.hh"
 #include "critpath/whatif.hh"
-#include "sim/trace.hh"
 #include "telemetry/tracing.hh"
 
 namespace lergan {
@@ -72,16 +71,32 @@ simulatePoint(const GanModel &model, const AcceleratorConfig &config,
         }
     }
 
-    Tracer tracer;
-    Tracer *trace = observers.audit.enabled && observers.audit.timing
-                        ? &tracer
-                        : nullptr;
-    ExecRecord record;
+    // One record serves the audit and the critical path. makeRecordedRun
+    // keeps a critpath record, so that one is fresh; an audit-only
+    // record reuses the lane's buffer.
+    ExecRecord kept;
+    ExecRecord *record = nullptr;
+    if (observers.critpath)
+        record = &kept;
+    else if (observers.audit.enabled && observers.audit.timing)
+        record = context.record ? context.record : &kept;
     {
         Span span("simulate");
-        result.report = accelerator.trainIterations(
-            iterations, trace, metrics, tmpl.get(),
-            observers.critpath ? &record : nullptr);
+        result.report = accelerator.trainIterations(iterations, metrics,
+                                                    tmpl.get(), record);
+    }
+    if (observers.audit.enabled) {
+        Span span("audit");
+        const AuditContext audit(observers.audit);
+        result.audit = audit.run({.model = &model,
+                                  .config = &config,
+                                  .compiled = &accelerator.compiled(),
+                                  .report = &result.report,
+                                  .graph = &tmpl->graph,
+                                  .record = record});
+        span.attr("clean", result.audit.ok());
+        span.attr("checks",
+                  static_cast<std::int64_t>(result.audit.checksRun));
     }
     if (observers.critpath) {
         // The record is only meaningful against the graph it was taken
@@ -89,16 +104,7 @@ simulatePoint(const GanModel &model, const AcceleratorConfig &config,
         // (aliasing pointer).
         result.report.critpath = makeRecordedRun(
             std::shared_ptr<const TaskGraph>(tmpl, &tmpl->graph),
-            accelerator.resourceNames(), std::move(record));
-    }
-    if (observers.audit.enabled) {
-        Span span("audit");
-        const AuditContext audit(observers.audit);
-        result.audit = audit.run({&model, &config, &accelerator.compiled(),
-                                  &result.report, trace});
-        span.attr("clean", result.audit.ok());
-        span.attr("checks",
-                  static_cast<std::int64_t>(result.audit.checksRun));
+            accelerator.resourceNames(), std::move(kept));
     }
     return outcome;
 }
@@ -214,14 +220,15 @@ ExperimentSweep::run(const RunOptions &options) const
 
     // One executor arena per worker lane, reused across every point
     // that lane runs (and across the pruning path's two batches): the
-    // calendar/counter buffers grow to the largest graph once, then
-    // steady-state points allocate nothing. Lanes never run two bodies
-    // concurrently (ThreadPool::forEach), so indexing by lane is
-    // race-free. Each arena starts on its own cache line: the
-    // calendar's hot fields of one lane must not share a line with the
-    // neighbouring lane's buffers.
+    // calendar/counter buffers and the audit-only record grow to the
+    // largest graph once, then steady-state points allocate nothing.
+    // Lanes never run two bodies concurrently (ThreadPool::forEach), so
+    // indexing by lane is race-free. Each arena starts on its own cache
+    // line: the calendar's hot fields of one lane must not share a line
+    // with the neighbouring lane's buffers.
     struct alignas(64) LaneArena {
         ExecScratch scratch;
+        ExecRecord record;
     };
     const unsigned workerCount =
         options.threads == 0 ? defaultThreadCount()
@@ -236,7 +243,8 @@ ExperimentSweep::run(const RunOptions &options) const
         PointContext context{.models = *cache_,
                              .templates = *templates_,
                              .observers = observers_,
-                             .scratch = &arenas[lane].scratch};
+                             .scratch = &arenas[lane].scratch,
+                             .record = &arenas[lane].record};
         if (pruning_ && point.prunable) {
             const auto base = baselineTime.find(point.model->name);
             if (base != baselineTime.end())

@@ -109,6 +109,9 @@ struct PointContext {
     /** Executor buffers of the running lane (null = the accelerator's
      *  own). Must not be shared with a concurrent point. */
     ExecScratch *scratch = nullptr;
+    /** The running lane's record for audit-only points (null = a
+     *  fresh one). Must not be shared with a concurrent point. */
+    ExecRecord *record = nullptr;
     /**
      * Bound pruning: the benchmark's baseline makespan. When set and
      * the point's analytic makespan bounds already decide which side
@@ -131,7 +134,7 @@ struct PointOutcome {
  * ExperimentSweep::run and SimulationSession::run/audit: validated
  * compile through the compiled-model cache, the Prevalidated
  * accelerator, the iteration template through the template cache,
- * optional bound pruning, simulate, critical-path record, audit.
+ * optional bound pruning, simulate, audit, critical-path record.
  *
  * Fills @p result's report, crossbar counts and audit verdict; the
  * caller owns its benchmark/label and failure fields. Stage spans
@@ -169,9 +172,10 @@ class ExperimentSweep
 
     /**
      * Audit every point of every subsequent run() under @p options:
-     * each point simulates traced and its SweepResult::audit carries
-     * the verdict. Adds one traced re-execution's worth of bookkeeping
-     * but no extra simulation — the audited run is the measured run.
+     * each point records its execution (an ExecRecord per lane, reused
+     * across points) and its SweepResult::audit carries the verdict.
+     * Adds the recording's bookkeeping but no extra simulation — the
+     * audited run is the measured run.
      */
     ExperimentSweep &auditWith(AuditOptions options);
 

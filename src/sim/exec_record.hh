@@ -1,6 +1,6 @@
 /**
  * @file
- * Per-task execution recording for post-run dependence analysis.
+ * Per-task execution recording: the one per-task output of a run.
  *
  * When a TaskGraph executes with an ExecRecord attached, the executor
  * writes down, for every task, when it started and finished and *why it
@@ -10,11 +10,12 @@
  * contended resource. Following binding predecessors backward from the
  * makespan task yields the critical path (src/critpath); the recorded
  * per-resource reservation order (resPrev) additionally fixes the full
- * timing graph the what-if estimator replays.
+ * timing graph the what-if estimator replays. The audit, the phase
+ * report and the Chrome export (traceRun) read the same record.
  *
  * The record is pure output: recording never changes event order,
- * results, traces or metrics, and a null record costs one predictable
- * branch per event.
+ * results or metrics, and a null record costs one predictable branch
+ * per event.
  */
 
 #ifndef LERGAN_SIM_EXEC_RECORD_HH

@@ -65,9 +65,8 @@ TaskGraph::freeze() const
 }
 
 ExecResult
-TaskGraph::execute(ResourcePool &pool, Tracer *tracer,
-                   MetricsRegistry *metrics, ExecScratch *scratch,
-                   ExecRecord *record) const
+TaskGraph::execute(ResourcePool &pool, MetricsRegistry *metrics,
+                   ExecScratch *scratch, ExecRecord *record) const
 {
     const Frozen &f = freeze();
     const std::size_t n = tasks_.size();
@@ -97,8 +96,8 @@ TaskGraph::execute(ResourcePool &pool, Tracer *tracer,
 
     std::size_t completed = 0;
 
-    // Occupancy of the executor itself, sampled at every fire and
-    // completion when observability is on. Registry instruments are
+    // Occupancy of the executor itself, sampled into the registry at
+    // every fire and completion when telemetry is on. Instruments are
     // resolved once up front; the event loop only touches atomics.
     std::size_t readyCount = 0;    // fire scheduled, not yet run
     std::size_t inflight = 0;      // fired, completion pending
@@ -110,22 +109,10 @@ TaskGraph::execute(ResourcePool &pool, Tracer *tracer,
         readyHist = &metrics->histogram("sim.ready.tasks");
         inflightHist = &metrics->histogram("sim.inflight.tasks");
     }
-    const bool observing = tracer || metrics;
     auto sample = [&] {
-        if (metrics) {
-            depthHist->observe(s.queue.pending());
-            readyHist->observe(readyCount);
-            inflightHist->observe(inflight);
-        }
-        if (tracer) {
-            const PicoSeconds now = s.queue.now();
-            tracer->recordCounter("sim.queue.depth", now,
-                                  static_cast<double>(s.queue.pending()));
-            tracer->recordCounter("sim.ready.tasks", now,
-                                  static_cast<double>(readyCount));
-            tracer->recordCounter("sim.inflight.tasks", now,
-                                  static_cast<double>(inflight));
-        }
+        depthHist->observe(s.queue.pending());
+        readyHist->observe(readyCount);
+        inflightHist->observe(inflight);
     };
 
     for (TaskId id = 0; id < n; ++id) {
@@ -139,7 +126,7 @@ TaskGraph::execute(ResourcePool &pool, Tracer *tracer,
     // every resource the task needs and schedules the completion event;
     // a completion releases the successors. Event
     // (time, seq) order is identical to the historic closure-based
-    // executor, so results, traces and metrics are byte-compatible.
+    // executor, so results and metrics are byte-compatible.
     TaskEvent event;
     while (s.queue.pop(event)) {
         const TaskId id = event.task;
@@ -194,15 +181,10 @@ TaskGraph::execute(ResourcePool &pool, Tracer *tracer,
                               tasks_[id].label);
             }
             const PicoSeconds end = start + f.durations[id];
-            if (tracer) {
-                tracer->record(tasks_[id].label, start, end,
-                               resBegin == resEnd ? SIZE_MAX
-                                                  : f.resIds[resBegin]);
-            }
             s.queue.scheduleAt(end, TaskEvent{id, true});
             --readyCount;
             ++inflight;
-            if (observing)
+            if (metrics)
                 sample();
         } else {
             const PicoSeconds end = s.queue.now();
@@ -235,7 +217,7 @@ TaskGraph::execute(ResourcePool &pool, Tracer *tracer,
                 }
             }
             --inflight;
-            if (observing)
+            if (metrics)
                 sample();
         }
     }

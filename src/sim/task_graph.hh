@@ -41,7 +41,6 @@
 #include "sim/calendar_queue.hh"
 #include "sim/exec_record.hh"
 #include "sim/resource.hh"
-#include "sim/trace.hh"
 #include "telemetry/metrics.hh"
 
 namespace lergan {
@@ -133,33 +132,30 @@ class TaskGraph
     /** Number of tasks in the graph. */
     std::size_t size() const { return tasks_.size(); }
 
-    /** Read-only access for inspection in tests. */
+    /** Read-only access for post-run readers and tests. */
     const Task &task(TaskId id) const { return tasks_[id]; }
 
     /**
      * Execute the whole DAG to completion.
      *
-     * When @p tracer is given, the executor also records counter tracks
-     * sampling the event-queue depth and the ready/in-flight task sets
-     * over sim time. When @p metrics is given, the same samples feed
-     * sim.* histograms and counters in the registry; only integer
+     * When @p metrics is given, the executor samples the event-queue
+     * depth and the ready/in-flight task sets into sim.* histograms
+     * and counters at every fire and completion; only integer
      * instruments are touched, so concurrent executes from a worker
      * pool produce worker-count-independent totals.
      *
-     * When @p record is given, the run additionally writes the
-     * dependence record critical-path analysis consumes (per-task
-     * start/finish, binding predecessors, per-resource reservation
-     * order — see sim/exec_record.hh). Recording is pure output: event
-     * order, results, traces and metrics are identical with it on.
+     * When @p record is given, the run writes its one per-task output,
+     * the execution record (sim/exec_record.hh) that the audit, the
+     * phase report, critpath and traceRun read. Recording is pure
+     * output: event order, results and metrics are identical with it on.
      *
      * @param pool    resource pool the task resource ids index into.
-     * @param tracer  optional recorder of per-task execution intervals.
      * @param metrics optional registry for sim.* metrics.
      * @param scratch optional reusable buffers (see ExecScratch).
-     * @param record  optional execution record for critpath analysis.
+     * @param record  optional execution record.
      * @return makespan and the task count statistic.
      */
-    ExecResult execute(ResourcePool &pool, Tracer *tracer = nullptr,
+    ExecResult execute(ResourcePool &pool,
                        MetricsRegistry *metrics = nullptr,
                        ExecScratch *scratch = nullptr,
                        ExecRecord *record = nullptr) const;

@@ -165,10 +165,10 @@ Tracer::printTimeline(std::ostream &os, std::size_t limit) const
     sorted.reserve(events_.size());
     for (const TraceEvent &event : events_)
         sorted.push_back(&event);
-    std::sort(sorted.begin(), sorted.end(),
-              [](const TraceEvent *a, const TraceEvent *b) {
-                  return a->start < b->start;
-              });
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [](const TraceEvent *a, const TraceEvent *b) {
+                         return a->start < b->start;
+                     });
     const std::size_t shown = std::min(limit, sorted.size());
     for (std::size_t i = 0; i < shown; ++i) {
         const TraceEvent &e = *sorted[i];

@@ -2,10 +2,11 @@
  * @file
  * Execution tracing for simulated task graphs.
  *
- * A Tracer records every task's (label, start, end, lane) interval; the
- * result can be dumped as a text timeline or exported in the Chrome
- * trace-event format (chrome://tracing, Perfetto) for visual inspection
- * of pipelining and contention.
+ * A Tracer holds task (label, start, end, lane) intervals — rendered
+ * from a run's ExecRecord by traceRun() (sim/trace_tracks.hh) — and
+ * counter samples; it prints as a text timeline or exports in the
+ * Chrome trace-event format (chrome://tracing, Perfetto) for visual
+ * inspection of pipelining and contention.
  */
 
 #ifndef LERGAN_SIM_TRACE_HH
@@ -37,7 +38,7 @@ struct CounterSample {
     double value = 0.0;
 };
 
-/** Collects task execution intervals during a simulation run. */
+/** Task execution intervals and counter tracks, for export. */
 class Tracer
 {
   public:
@@ -47,9 +48,10 @@ class Tracer
 
     /**
      * Record one sample of counter track @p track at sim time @p time.
-     * A sample at the same track and time as the previous one for that
-     * track overwrites it, so several updates within one event-queue
-     * instant collapse to the final value.
+     * A sample with the same track and time as the last recorded sample
+     * (of any track) overwrites it, so back-to-back updates of one
+     * track within one instant collapse to the final value. Samples
+     * interleaved with another track's are all kept.
      */
     void recordCounter(const std::string &track, PicoSeconds time,
                        double value);
@@ -59,14 +61,6 @@ class Tracer
     const std::vector<CounterSample> &counterSamples() const
     {
         return counters_;
-    }
-
-    /** Drop all recorded events and counter samples. */
-    void
-    clear()
-    {
-        events_.clear();
-        counters_.clear();
     }
 
     /**

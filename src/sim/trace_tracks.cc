@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 
 namespace lergan {
 
@@ -37,6 +38,33 @@ recordOccupancy(Tracer &tracer,
 }
 
 } // namespace
+
+Tracer
+traceRun(const TaskGraph &graph, const ExecRecord &record)
+{
+    const std::size_t n = graph.size();
+    std::vector<TaskId> order(n);
+    std::iota(order.begin(), order.end(), TaskId{0});
+    std::stable_sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
+        return record.start[a] < record.start[b];
+    });
+    Tracer tracer;
+    for (const TaskId id : order) {
+        const Task &task = graph.task(id);
+        tracer.record(task.label, record.start[id], record.end[id],
+                      task.resources.empty() ? SIZE_MAX
+                                             : task.resources.front());
+    }
+
+    std::vector<std::pair<PicoSeconds, PicoSeconds>> inflight(n);
+    for (TaskId id = 0; id < n; ++id)
+        inflight[id] = {0, record.end[id]};
+    for (const auto &[dep, task] : graph.edges())
+        inflight[task].first =
+            std::max(inflight[task].first, record.end[dep]);
+    recordOccupancy(tracer, inflight, "sim.inflight.tasks");
+    return tracer;
+}
 
 std::size_t
 addSpanOccupancyTrack(Tracer &tracer, const std::string &label_prefix,

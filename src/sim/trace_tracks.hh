@@ -1,11 +1,12 @@
 /**
  * @file
- * Derived Chrome counter tracks over a recorded trace.
+ * A recorded run rendered as a trace, and derived counter tracks.
  *
- * A Tracer's task spans already say *what ran when*; these helpers turn
- * them into sampled gauges — "how many transfers were in flight", "was
- * this wire busy" — recorded as counter samples ("ph":"C") that
- * Perfetto renders as curves next to the task spans.
+ * traceRun() turns a run's (graph, ExecRecord) into a Tracer after the
+ * run. The other helpers turn its task spans — *what ran when* — into
+ * sampled gauges ("how many transfers were in flight", "was this wire
+ * busy"), recorded as counter samples ("ph":"C") that Perfetto renders
+ * as curves next to the task spans.
  */
 
 #ifndef LERGAN_SIM_TRACE_TRACKS_HH
@@ -15,9 +16,19 @@
 #include <string>
 #include <vector>
 
+#include "sim/exec_record.hh"
+#include "sim/task_graph.hh"
 #include "sim/trace.hh"
 
 namespace lergan {
+
+/**
+ * One span per task of @p graph (lane = first resource, SIZE_MAX if
+ * none) in (start, task id) order, plus the "sim.inflight.tasks" track:
+ * a task is in flight over [fire, end), fire being its predecessors'
+ * latest end (0 for a source).
+ */
+Tracer traceRun(const TaskGraph &graph, const ExecRecord &record);
 
 /**
  * Record a counter track named @p track sampling how many spans whose

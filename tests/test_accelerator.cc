@@ -211,18 +211,19 @@ TEST(Accelerator, TemplateReplayMatchesRebuild)
 
     // A template built by one accelerator, replayed by another of the
     // same (model, config) pair, must reproduce the rebuild path
-    // exactly: simulated time, every stat, the trace and the metrics.
+    // exactly: simulated time, every stat, the execution record and
+    // the metrics.
     LerGanAccelerator maker(model, config);
     const auto tmpl = maker.makeIterationTemplate();
 
     LerGanAccelerator rebuilt(model, config);
     LerGanAccelerator replayed(model, config);
-    Tracer rebuiltTrace, replayedTrace;
+    ExecRecord rebuiltRecord, replayedRecord;
     MetricsRegistry rebuiltMetrics, replayedMetrics;
     const TrainingReport a = rebuilt.trainIterations(
-        10, &rebuiltTrace, &rebuiltMetrics, nullptr);
+        10, &rebuiltMetrics, nullptr, &rebuiltRecord);
     const TrainingReport b = replayed.trainIterations(
-        10, &replayedTrace, &replayedMetrics, tmpl.get());
+        10, &replayedMetrics, tmpl.get(), &replayedRecord);
 
     EXPECT_EQ(a.iterationTime, b.iterationTime);
     EXPECT_DOUBLE_EQ(a.totalEnergyPj(), b.totalEnergyPj());
@@ -237,15 +238,10 @@ TEST(Accelerator, TemplateReplayMatchesRebuild)
     replayedMetrics.snapshot().writePrometheus(bProm);
     EXPECT_EQ(aProm.str(), bProm.str());
 
-    ASSERT_EQ(rebuiltTrace.events().size(), replayedTrace.events().size());
-    for (std::size_t i = 0; i < rebuiltTrace.events().size(); ++i) {
-        const TraceEvent &x = rebuiltTrace.events()[i];
-        const TraceEvent &y = replayedTrace.events()[i];
-        ASSERT_EQ(x.label, y.label) << "trace event " << i;
-        ASSERT_EQ(x.start, y.start) << "trace event " << i;
-        ASSERT_EQ(x.end, y.end) << "trace event " << i;
-        ASSERT_EQ(x.lane, y.lane) << "trace event " << i;
-    }
+    ASSERT_EQ(rebuiltRecord.start.size(), tmpl->graph.size());
+    EXPECT_EQ(rebuiltRecord.start, replayedRecord.start);
+    EXPECT_EQ(rebuiltRecord.end, replayedRecord.end);
+    EXPECT_EQ(rebuiltRecord.bindingPred, replayedRecord.bindingPred);
 }
 
 TEST(Accelerator, TemplateReplayIsRepeatable)
@@ -258,10 +254,10 @@ TEST(Accelerator, TemplateReplayIsRepeatable)
     LerGanAccelerator acc(model, config);
     const auto tmpl = acc.makeIterationTemplate();
     const TrainingReport first =
-        acc.trainIterations(1, nullptr, nullptr, tmpl.get());
+        acc.trainIterations(1, nullptr, tmpl.get());
     for (int i = 0; i < 3; ++i) {
         const TrainingReport next =
-            acc.trainIterations(1, nullptr, nullptr, tmpl.get());
+            acc.trainIterations(1, nullptr, tmpl.get());
         EXPECT_EQ(next.iterationTime, first.iterationTime);
         EXPECT_DOUBLE_EQ(next.totalEnergyPj(), first.totalEnergyPj());
     }

@@ -2,22 +2,26 @@
  * @file
  * Tests for the cross-layer audit subsystem (src/audit): a clean run
  * passes every invariant, and each seeded corruption — a post-run
- * energy mutation, an orphan statistic, a tampered makespan, a bogus
- * trace event, a corrupted mapping — is caught by the matching check.
+ * energy mutation, an orphan statistic, a tampered makespan, a record
+ * entry past the makespan, a corrupted mapping, a task on a killed
+ * tile — is caught by the matching check.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <optional>
+#include <set>
 #include <sstream>
 
 #include "audit/audit.hh"
 #include "core/api.hh"
 #include "core/sweep.hh"
 #include "core/sweep_io.hh"
+#include "core/machine.hh"
 #include "core/validate.hh"
-#include "sim/trace.hh"
 #include "workloads/zoo.hh"
 
 namespace lergan {
@@ -29,16 +33,22 @@ struct SimRun {
     AcceleratorConfig config;
     CompiledGan compiled;
     TrainingReport report;
-    Tracer trace;
+    std::shared_ptr<const IterationTemplate> tmpl;
+    ExecRecord record;
 
     AuditInput
     input() const
     {
-        return {&model, &config, &compiled, &report, &trace};
+        return {.model = &model,
+                .config = &config,
+                .compiled = &compiled,
+                .report = &report,
+                .graph = &tmpl->graph,
+                .record = &record};
     }
 };
 
-/** Small traced run (MAGAN-MNIST on LerGAN-low, ZFDR active). */
+/** Small recorded run (MAGAN-MNIST on LerGAN-low, ZFDR active). */
 SimRun
 makeRun()
 {
@@ -47,7 +57,9 @@ makeRun()
     run.config = AcceleratorConfig::lerGan(ReplicaDegree::Low);
     run.config.batchSize = 4;
     LerGanAccelerator accelerator(run.model, run.config);
-    run.report = accelerator.trainIterations(2, &run.trace);
+    run.tmpl = accelerator.makeIterationTemplate();
+    run.report =
+        accelerator.trainIterations(2, nullptr, run.tmpl.get(), &run.record);
     run.compiled = accelerator.compiled();
     return run;
 }
@@ -147,29 +159,75 @@ TEST(Audit, TamperedMakespanIsCaught)
     EXPECT_TRUE(timing_failure) << verdict.summary();
 }
 
-TEST(Audit, BogusTraceEventIsCaught)
+TEST(Audit, RecordEndPastTheMakespanIsCaught)
 {
     SimRun run = makeRun();
-    // An event past the makespan, and now one more event than tasks.
-    run.trace.record("bogus@phantom", 0,
-                     run.report.iterationTime + 999, 0);
+    run.record.end[0] = run.report.iterationTime + 999;
 
     const AuditVerdict verdict = AuditContext().run(run.input());
     ASSERT_FALSE(verdict.ok());
     EXPECT_NE(verdict.summary().find("after the makespan"),
               std::string::npos)
         << verdict.summary();
+    EXPECT_NE(verdict.summary().find("last task ends at"),
+              std::string::npos)
+        << verdict.summary();
 }
 
-TEST(Audit, MissingTraceSkipsTheTimingCheck)
+TEST(Audit, MissingRecordSkipsTheTimingCheck)
 {
     const SimRun run = makeRun();
     AuditInput input = run.input();
-    input.trace = nullptr;
+    input.record = nullptr;
 
     const AuditVerdict verdict = AuditContext().run(input);
     EXPECT_TRUE(verdict.ok()) << verdict.summary();
     EXPECT_EQ(verdict.checksRun, 3u); // timing skipped, not failed
+}
+
+TEST(Audit, TaskOnAKilledTileIsCaught)
+{
+    const SimRun run = makeRun();
+    // Find a tile whose compute pipeline some task of the healthy run
+    // used as its first resource, then audit the run against a config
+    // that lists that tile as failed.
+    const Machine machine(run.config);
+    std::set<std::size_t> used;
+    for (TaskId id = 0; id < run.tmpl->graph.size(); ++id) {
+        const Task &task = run.tmpl->graph.task(id);
+        if (!task.resources.empty())
+            used.insert(task.resources.front());
+    }
+    std::optional<std::pair<int, int>> victim;
+    for (int bank = 0; bank < 6 * run.config.cuPairs && !victim; ++bank)
+        for (int tile = 0; tile < run.config.reram.tilesPerBank; ++tile)
+            if (used.count(machine.tileComputeRes(bank, tile))) {
+                victim = {bank, tile};
+                break;
+            }
+    ASSERT_TRUE(victim.has_value());
+
+    AcceleratorConfig killed = run.config;
+    killed.failedTiles.push_back(*victim);
+    AuditInput input = run.input();
+    input.config = &killed;
+
+    AuditOptions options = AuditOptions::full();
+    options.mapping = false;
+    const AuditVerdict verdict = AuditContext(options).run(input);
+    EXPECT_NE(verdict.summary().find("executed on the compute resource "
+                                     "of a killed tile"),
+              std::string::npos)
+        << verdict.summary();
+
+    // Without the record the per-task part is skipped; the placement
+    // findings on that tile remain.
+    input.record = nullptr;
+    const AuditVerdict placementOnly = AuditContext(options).run(input);
+    EXPECT_FALSE(placementOnly.ok());
+    EXPECT_EQ(placementOnly.summary().find("executed on the compute"),
+              std::string::npos)
+        << placementOnly.summary();
 }
 
 TEST(Audit, CorruptedMappingIsCaught)

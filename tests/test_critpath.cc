@@ -65,8 +65,7 @@ recordPoint(const GanModel &model, const AcceleratorConfig &config)
     Recorded out;
     out.tmpl = accelerator.makeIterationTemplate();
     out.resourceNames = accelerator.resourceNames();
-    accelerator.trainIterations(1, nullptr, nullptr, out.tmpl.get(),
-                                &out.record);
+    accelerator.trainIterations(1, nullptr, out.tmpl.get(), &out.record);
     return out;
 }
 
@@ -244,7 +243,7 @@ resimulate(const RandomModel &model,
     ResourcePool pool;
     for (const std::string &name : model.resourceNames)
         pool.create(name);
-    return graph.execute(pool, nullptr, nullptr, nullptr, record)
+    return graph.execute(pool, nullptr, nullptr, record)
         .makespan;
 }
 

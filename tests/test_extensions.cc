@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/api.hh"
+#include "sim/trace_tracks.hh"
 
 namespace lergan {
 namespace {
@@ -124,10 +125,12 @@ TEST(TracedRun, ProducesEventsAndSameResult)
     config.batchSize = 4;
     LerGanAccelerator accelerator(model, config);
     const TrainingReport plain = accelerator.trainIterations(1);
-    Tracer tracer;
+    const auto tmpl = accelerator.makeIterationTemplate();
+    ExecRecord record;
     const TrainingReport traced =
-        accelerator.trainIterations(1, &tracer);
+        accelerator.trainIterations(1, nullptr, tmpl.get(), &record);
     EXPECT_EQ(plain.iterationTime, traced.iterationTime);
+    const Tracer tracer = traceRun(tmpl->graph, record);
     EXPECT_EQ(tracer.events().size(),
               static_cast<std::size_t>(plain.stats.get("sim.tasks")));
     EXPECT_FALSE(accelerator.resourceNames().empty());

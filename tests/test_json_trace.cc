@@ -66,8 +66,9 @@ TEST(Trace, RecordsTaskIntervals)
     const TaskId b = graph.addTask({"second", {r}, 5});
     graph.addDep(b, a);
 
-    Tracer tracer;
-    graph.execute(pool, &tracer);
+    ExecRecord record;
+    graph.execute(pool, nullptr, nullptr, &record);
+    const Tracer tracer = traceRun(graph, record);
     ASSERT_EQ(tracer.events().size(), 2u);
     EXPECT_EQ(tracer.events()[0].label, "first");
     EXPECT_EQ(tracer.events()[0].start, 0u);
@@ -122,6 +123,13 @@ TEST(Trace, CounterSamplesBecomeCounterTracks)
     tracer.recordCounter("sim.queue.depth", 100, 2.0);
     ASSERT_EQ(tracer.counterSamples().size(), 2u);
     EXPECT_DOUBLE_EQ(tracer.counterSamples()[1].value, 2.0);
+    // Only the last sample of any track is compared: once another
+    // track's sample intervenes, a same-instant update is kept.
+    tracer.recordCounter("sim.other", 100, 7.0);
+    tracer.recordCounter("sim.queue.depth", 100, 4.0);
+    ASSERT_EQ(tracer.counterSamples().size(), 4u);
+    EXPECT_DOUBLE_EQ(tracer.counterSamples()[1].value, 2.0);
+    EXPECT_DOUBLE_EQ(tracer.counterSamples()[3].value, 4.0);
 
     std::ostringstream oss;
     tracer.exportChromeTrace(oss, {});
@@ -130,12 +138,9 @@ TEST(Trace, CounterSamplesBecomeCounterTracks)
     EXPECT_NE(out.find("sim.queue.depth"), std::string::npos);
     std::string error;
     EXPECT_TRUE(isValidJson(out, &error)) << error;
-
-    tracer.clear();
-    EXPECT_TRUE(tracer.counterSamples().empty());
 }
 
-TEST(Trace, ExecutorRecordsOccupancyCounters)
+TEST(Trace, InflightTrackIsRebuiltFromTheRecord)
 {
     ResourcePool pool;
     const auto r = pool.create("unit");
@@ -144,12 +149,20 @@ TEST(Trace, ExecutorRecordsOccupancyCounters)
     const TaskId b = graph.addTask({"second", {r}, 5});
     graph.addDep(b, a);
 
-    Tracer tracer;
-    graph.execute(pool, &tracer);
-    bool saw_depth = false;
-    for (const CounterSample &sample : tracer.counterSamples())
-        saw_depth = saw_depth || sample.track == "sim.queue.depth";
-    EXPECT_TRUE(saw_depth);
+    ExecRecord record;
+    graph.execute(pool, nullptr, nullptr, &record);
+    const Tracer tracer = traceRun(graph, record);
+    // "first" is in flight over [0, 10), "second" over [10, 15): the
+    // hand-over at 10 leaves the count at 1, so the step curve has two
+    // samples, and it is the only counter track.
+    std::vector<std::pair<PicoSeconds, double>> samples;
+    for (const CounterSample &sample : tracer.counterSamples()) {
+        EXPECT_EQ(sample.track, "sim.inflight.tasks");
+        samples.emplace_back(sample.time, sample.value);
+    }
+    const std::vector<std::pair<PicoSeconds, double>> expected = {
+        {0, 1.0}, {15, 0.0}};
+    EXPECT_EQ(samples, expected);
 }
 
 TEST(TraceTracks, SpanOccupancyAndBusiestLane)

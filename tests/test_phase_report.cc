@@ -1,10 +1,12 @@
 /**
  * @file
- * Tests for the phase-time analysis over traced runs.
+ * Tests for the phase-time analysis over recorded runs.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <sstream>
 
 #include "core/api.hh"
@@ -13,16 +15,49 @@
 namespace lergan {
 namespace {
 
+/** A hand-built recorded run: tasks with fixed intervals. */
+struct Recorded {
+    TaskGraph graph;
+    ExecRecord record;
+
+    void
+    add(std::string label, PicoSeconds start, PicoSeconds end)
+    {
+        graph.addTask({std::move(label), {}, end - start});
+        record.start.push_back(start);
+        record.end.push_back(end);
+        record.makespan = std::max(record.makespan, end);
+    }
+};
+
+/** One recorded iteration of @p model on @p config. */
+struct RealRun {
+    std::shared_ptr<const IterationTemplate> tmpl;
+    ExecRecord record;
+    TrainingReport report;
+};
+
+RealRun
+recordRun(const GanModel &model, const AcceleratorConfig &config)
+{
+    LerGanAccelerator accelerator(model, config);
+    RealRun run;
+    run.tmpl = accelerator.makeIterationTemplate();
+    run.report =
+        accelerator.trainIterations(1, nullptr, run.tmpl.get(), &run.record);
+    return run;
+}
+
 TEST(PhaseReport, GroupsByLabelFamilies)
 {
-    Tracer tracer;
-    tracer.record("G.l1.fc@G.fwd", 0, 10, 0);
-    tracer.record("G.l2.tconv@G.fwd", 10, 30, 0);
-    tracer.record("xfer:a->b", 5, 15, 1);
-    tracer.record("update:D.l1.conv@D.fwd", 30, 40, 2);
-    tracer.record("ctrl:train_disc", 0, 1, 3);
+    Recorded run;
+    run.add("G.l1.fc@G.fwd", 0, 10);
+    run.add("G.l2.tconv@G.fwd", 10, 30);
+    run.add("xfer:a->b", 5, 15);
+    run.add("update:D.l1.conv@D.fwd", 30, 40);
+    run.add("ctrl:train_disc", 0, 1);
 
-    const auto phases = phaseTimes(tracer);
+    const auto phases = phaseTimes(run.graph, run.record);
     ASSERT_EQ(phases.size(), 4u);
     auto find = [&](const std::string &name) -> const PhaseTime & {
         for (const PhaseTime &p : phases)
@@ -45,11 +80,10 @@ TEST(PhaseReport, RealRunCoversAllSixPhases)
     const GanModel model = makeBenchmark("cGAN");
     AcceleratorConfig config = AcceleratorConfig::lerGan(ReplicaDegree::Low);
     config.batchSize = 4;
-    LerGanAccelerator accelerator(model, config);
-    Tracer tracer;
-    const TrainingReport report = accelerator.trainIterations(1, &tracer);
+    const RealRun run = recordRun(model, config);
+    const TrainingReport &report = run.report;
 
-    const auto phases = phaseTimes(tracer);
+    const auto phases = phaseTimes(run.tmpl->graph, run.record);
     int named_phases = 0;
     for (const PhaseTime &phase : phases) {
         for (Phase p : kAllPhases)
@@ -69,11 +103,9 @@ TEST(PhaseReport, PhasesOverlapUnderPipelining)
     const GanModel model = makeBenchmark("cGAN");
     AcceleratorConfig config = AcceleratorConfig::lerGan(ReplicaDegree::Low);
     config.batchSize = 16;
-    LerGanAccelerator accelerator(model, config);
-    Tracer tracer;
-    accelerator.trainIterations(1, &tracer);
+    const RealRun run = recordRun(model, config);
 
-    const auto phases = phaseTimes(tracer);
+    const auto phases = phaseTimes(run.tmpl->graph, run.record);
     const PhaseTime *g_fwd = nullptr, *d_fwd = nullptr;
     for (const PhaseTime &phase : phases) {
         if (phase.name == "G.fwd")
@@ -87,10 +119,11 @@ TEST(PhaseReport, PhasesOverlapUnderPipelining)
 
 TEST(PhaseReport, PrintsTable)
 {
-    Tracer tracer;
-    tracer.record("G.l1.fc@G.fwd", 0, nsToPs(100), 0);
+    Recorded run;
+    run.add("G.l1.fc@G.fwd", 0, nsToPs(100));
+    run.record.makespan = nsToPs(200);
     std::ostringstream oss;
-    printPhaseTimes(oss, tracer, nsToPs(200));
+    printPhaseTimes(oss, run.graph, run.record);
     EXPECT_NE(oss.str().find("G.fwd"), std::string::npos);
     EXPECT_NE(oss.str().find("50.0%"), std::string::npos);
 }

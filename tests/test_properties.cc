@@ -20,6 +20,7 @@
 #include "sim/calendar_queue.hh"
 #include "sim/heap_event_queue.hh"
 #include "sim/task_graph.hh"
+#include "sim/trace_tracks.hh"
 #include "workloads/zoo.hh"
 
 namespace lergan {
@@ -101,7 +102,7 @@ TEST_P(RandomDagProperty, SchedulingInvariants)
     RandomDag dag = makeRandomDag(GetParam() * 7919 + 13);
     ExecRecord record;
     const ExecResult result =
-        dag.graph.execute(dag.pool, nullptr, nullptr, nullptr, &record);
+        dag.graph.execute(dag.pool, nullptr, nullptr, &record);
 
     // Bounds: critical path <= makespan <= serial sum.
     PicoSeconds serial = 0;
@@ -119,6 +120,50 @@ TEST_P(RandomDagProperty, SchedulingInvariants)
     // No resource is busy longer than the run.
     for (std::size_t r = 0; r < dag.pool.size(); ++r)
         EXPECT_LE(dag.pool[r].busyTime(), result.makespan);
+}
+
+TEST_P(RandomDagProperty, RebuiltInflightTrackCountsFiredTasks)
+{
+    RandomDag dag = makeRandomDag(GetParam() * 7919 + 13);
+    ExecRecord record;
+    dag.graph.execute(dag.pool, nullptr, nullptr, &record);
+    const Tracer tracer = traceRun(dag.graph, record);
+
+    // Brute force: a task fires when its last dependency ends (0 for a
+    // source) and is in flight until its own end.
+    const std::size_t n = dag.durations.size();
+    std::vector<PicoSeconds> fire(n, 0);
+    for (TaskId id = 0; id < n; ++id)
+        for (TaskId dep : dag.deps[id])
+            fire[id] = std::max(fire[id], record.end[dep]);
+    const auto inflightAt = [&](PicoSeconds t) {
+        double count = 0;
+        for (TaskId id = 0; id < n; ++id)
+            count += fire[id] <= t && t < record.end[id];
+        return count;
+    };
+
+    // The track is a step curve: its value at t is the last sample at
+    // or before t. Check it at every instant an event happened.
+    std::vector<std::pair<PicoSeconds, double>> track;
+    for (const CounterSample &sample : tracer.counterSamples())
+        if (sample.track == "sim.inflight.tasks")
+            track.emplace_back(sample.time, sample.value);
+    ASSERT_FALSE(track.empty());
+    EXPECT_DOUBLE_EQ(track.back().second, 0.0);
+    const auto trackAt = [&](PicoSeconds t) {
+        double value = 0;
+        for (const auto &[time, v] : track)
+            if (time <= t)
+                value = v;
+        return value;
+    };
+    for (TaskId id = 0; id < n; ++id) {
+        for (const PicoSeconds t : {fire[id], record.end[id]}) {
+            EXPECT_DOUBLE_EQ(trackAt(t), inflightAt(t))
+                << "at " << t << " ps";
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomDagProperty, testing::Range(0, 24));

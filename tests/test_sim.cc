@@ -160,7 +160,7 @@ TEST(TaskGraph, ChainRespectsDependencies)
     graph.addDep(b, a);
     ExecRecord record;
     const ExecResult result =
-        graph.execute(pool, nullptr, nullptr, nullptr, &record);
+        graph.execute(pool, nullptr, nullptr, &record);
     EXPECT_EQ(result.makespan, 30u);
     EXPECT_EQ(record.start[b], 10u);
     EXPECT_EQ(record.end[a], 10u);
@@ -230,7 +230,7 @@ TEST(TaskGraph, ZeroDurationBarrier)
     graph.addDep(b, barrier);
     ExecRecord record;
     const ExecResult result =
-        graph.execute(pool, nullptr, nullptr, nullptr, &record);
+        graph.execute(pool, nullptr, nullptr, &record);
     EXPECT_EQ(record.end[barrier], 15u);
     EXPECT_EQ(result.makespan, 20u);
 }
@@ -260,13 +260,13 @@ TEST(TaskGraph, ScratchReuseMatchesFreshExecution)
 
     ExecRecord fresh;
     const ExecResult freshResult =
-        graph.execute(pool, nullptr, nullptr, nullptr, &fresh);
+        graph.execute(pool, nullptr, nullptr, &fresh);
     ExecScratch scratch;
     for (int round = 0; round < 3; ++round) {
         pool.resetAll();
         ExecRecord reused;
         const ExecResult reusedResult =
-            graph.execute(pool, nullptr, nullptr, &scratch, &reused);
+            graph.execute(pool, nullptr, &scratch, &reused);
         EXPECT_EQ(reusedResult.makespan, freshResult.makespan);
         EXPECT_EQ(reused.start, fresh.start);
         EXPECT_EQ(reused.end, fresh.end);
