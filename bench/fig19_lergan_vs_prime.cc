@@ -269,8 +269,8 @@ main(int argc, char **argv)
         "chain) of one DCGAN/low iteration to this file");
     runner.args().addOption(
         "critpath",
-        "print DCGAN critical paths (prime vs low), what-if estimates "
-        "and a bound-pruned rerun of the grid",
+        "print DCGAN critical paths (prime vs low) and what-if "
+        "estimates",
         "", /*is_flag=*/true);
     runner.args().addOption(
         "critpath-baseline",
@@ -308,26 +308,8 @@ main(int argc, char **argv)
 
     const auto sweepResults = runner.runSweep(sweep, kIterations);
 
-    if (runner.args().getFlag("critpath")) {
+    if (runner.args().getFlag("critpath"))
         critpathReport();
-        // Bound-pruned rerun of the warm grid: the counters show how
-        // many comparison points the analytic bracket decided without
-        // an event simulation.
-        auto registry = std::make_shared<MetricsRegistry>();
-        const auto saved = sweep.telemetry();
-        sweep.withTelemetry(registry).withBoundPruning();
-        RunOptions warm;
-        warm.threads = runner.threads();
-        warm.iterations = kIterations;
-        sweep.run(warm);
-        sweep.withBoundPruning(false).withTelemetry(saved);
-        std::cerr << "prune: "
-                  << registry->counter("critpath.pruned").value()
-                  << " pruned, "
-                  << registry->counter("critpath.simulated").value()
-                  << " simulated of " << sweep.pointCount()
-                  << " points\n";
-    }
 
     bool critpathGuardFailed = false;
     if (runner.args().given("critpath-baseline") ||

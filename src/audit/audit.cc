@@ -165,11 +165,11 @@ checkTiming(const AuditInput &input, const AuditOptions &options,
         const PicoSeconds start = record.start[id];
         const PicoSeconds end = record.end[id];
         if (end < start) {
-            fail(verdict, "timing", graph.task(id).label, " ends (", end,
+            fail(verdict, "timing", graph.label(id), " ends (", end,
                  ") before it starts (", start, ")");
         }
         if (end > makespan) {
-            fail(verdict, "timing", graph.task(id).label, " ends at ",
+            fail(verdict, "timing", graph.label(id), " ends at ",
                  end, " ps, after the makespan ", makespan, " ps");
         }
         last_end = std::max(last_end, end);
@@ -328,13 +328,12 @@ checkFaults(const AuditInput &input, const AuditOptions &,
         }
         const TaskGraph &graph = *input.graph;
         for (TaskId id = 0; id < graph.size(); ++id) {
-            const Task &task = graph.task(id);
-            if (!task.resources.empty() &&
-                dead.count(task.resources.front())) {
-                fail(verdict, "faults", task.label,
+            const auto resources = graph.resources(id);
+            if (!resources.empty() && dead.count(resources.front())) {
+                fail(verdict, "faults", graph.label(id),
                      " executed on the compute resource of a killed"
                      " tile (resource ",
-                     task.resources.front(), ")");
+                     resources.front(), ")");
             }
         }
     }

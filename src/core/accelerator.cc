@@ -195,7 +195,7 @@ class IterationBuilder
         energy.add("energy.control", params().controllerPjPerTask);
 
         const TaskId id =
-            graph.addTask({op.op.label, opResources(op), duration});
+            graph.addTask(op.op.label, opResources(op), duration);
         for (TaskId dep : deps)
             if (dep != kNoTask)
                 graph.addDep(id, dep);
@@ -234,9 +234,9 @@ class IterationBuilder
                                                dst.tileCount));
         const Bytes wire_bytes = (bytes + spread - 1) / spread;
         const TaskId id = graph.addTask(
-            {"xfer:" + src.op.label + "->" + dst.op.label,
-             machine_.topo().routeResources(route),
-             route.transferTime(wire_bytes)});
+            "xfer:" + src.op.label + "->" + dst.op.label,
+            machine_.topo().routeResources(route),
+            route.transferTime(wire_bytes));
         if (dep != kNoTask)
             graph.addDep(id, dep);
         return id;
@@ -254,7 +254,7 @@ class IterationBuilder
             params().bankReadNs +
             static_cast<double>(bytes) / (2 * params().linkBytesPerNs));
         const TaskId id =
-            graph.addTask({"load:" + dst.op.label, {}, duration});
+            graph.addTask("load:" + dst.op.label, {}, duration);
         if (dep != kNoTask)
             graph.addDep(id, dep);
         return id;
@@ -274,8 +274,8 @@ class IterationBuilder
         const PicoSeconds duration =
             switches.empty() ? 0 : controller_.switchTime();
         const TaskId id = graph.addTask(
-            {std::string("ctrl:") + ctrlStateName(controller_.state()), {},
-             duration});
+            std::string("ctrl:") + ctrlStateName(controller_.state()), {},
+            duration);
         if (dep != kNoTask)
             graph.addDep(id, dep);
         return id;
@@ -285,7 +285,7 @@ class IterationBuilder
     TaskId
     barrierTask(const char *label, const std::vector<TaskId> &deps)
     {
-        const TaskId id = graph.addTask({label, {}, 0});
+        const TaskId id = graph.addTask(label, {}, 0);
         for (TaskId dep : deps)
             if (dep != kNoTask)
                 graph.addDep(id, dep);
@@ -554,18 +554,16 @@ class IterationBuilder
                        static_cast<double>(grad_bytes));
         tile_.chargeStorage(energy, grad_bytes, 0);
         const TaskId read = graph.addTask(
-            {disc ? "D.grad.readout" : "G.grad.readout",
-             {cpuRes_},
-             nsToPs(params().bankReadNs +
-                    static_cast<double>(grad_bytes) /
-                        (2 * params().linkBytesPerNs))});
+            disc ? "D.grad.readout" : "G.grad.readout", {cpuRes_},
+            nsToPs(params().bankReadNs +
+                   static_cast<double>(grad_bytes) /
+                       (2 * params().linkBytesPerNs)));
         graph.addDep(read, entry);
 
         // Host-side SGD arithmetic.
         const TaskId cpu = graph.addTask(
-            {disc ? "D.update.cpu" : "G.update.cpu",
-             {cpuRes_},
-             nsToPs(kCpuNsPerWeight * static_cast<double>(base_weights))});
+            disc ? "D.update.cpu" : "G.update.cpu", {cpuRes_},
+            nsToPs(kCpuNsPerWeight * static_cast<double>(base_weights)));
         graph.addDep(cpu, read);
 
         // Rewrite every stored copy of the network's kernels.
@@ -580,7 +578,7 @@ class IterationBuilder
                     op.tileCount);
                 tile_.chargeWeightWrite(energy, op.cost.weightElems);
                 const TaskId write = graph.addTask(
-                    {"update:" + op.op.label, opResources(op), duration});
+                    "update:" + op.op.label, opResources(op), duration);
                 graph.addDep(write, cpu);
                 writes.push_back(write);
             }
@@ -698,23 +696,12 @@ LerGanAccelerator::trainIterations(int n, MetricsRegistry *metrics,
             metrics->counter("critpath.records").add(1);
         recordPoolMetrics(machine_.pool(), *metrics);
     }
-    TrainingReport report =
-        assembleReport(*tmpl, exec.makespan, exec.stats);
-    addTotals(report, n);
-    return report;
-}
-
-TrainingReport
-LerGanAccelerator::assembleReport(const IterationTemplate &tmpl,
-                                  PicoSeconds iteration_time,
-                                  const StatSet &exec_stats) const
-{
     TrainingReport report;
     report.benchmark = model_.name;
     report.config = config_.label();
-    report.iterationTime = iteration_time;
-    report.stats = tmpl.buildEnergy;
-    report.stats.merge(exec_stats);
+    report.iterationTime = exec.makespan;
+    report.stats = tmpl->buildEnergy;
+    report.stats.merge(exec.stats);
     // Snapshot of the energy total at the moment the run produced it;
     // the audit layer compares the prefix sum against this to detect
     // post-run mutation of any component (audit/audit.hh).
@@ -740,29 +727,6 @@ LerGanAccelerator::assembleReport(const IterationTemplate &tmpl,
         report.stats.set("fault.remapped_xbars",
                          static_cast<double>(impact.remappedCrossbars));
     }
-    return report;
-}
-
-TrainingReport
-LerGanAccelerator::estimateIterations(int n, const IterationTemplate *tmpl,
-                                      PicoSeconds per_iteration)
-{
-    LERGAN_ASSERT(n > 0, "need at least one iteration");
-    std::shared_ptr<const IterationTemplate> own;
-    if (!tmpl) {
-        own = makeIterationTemplate();
-        tmpl = own.get();
-    }
-    // Everything but the makespan is a build-time fact of the template;
-    // only the timing channel carries the analytic estimate. The
-    // executor's sole stat contribution is the task count, reproduced
-    // here so estimated and simulated reports share their stat shape.
-    StatSet exec_stats;
-    exec_stats.set("sim.tasks",
-                   static_cast<double>(tmpl->graph.size()));
-    TrainingReport report =
-        assembleReport(*tmpl, per_iteration, exec_stats);
-    report.stats.set("critpath.estimated", 1.0);
     addTotals(report, n);
     return report;
 }

@@ -127,18 +127,6 @@ class LerGanAccelerator
     }
 
     /**
-     * The report trainIterations(n, ..., tmpl) would produce, with the
-     * event simulation replaced by the analytic makespan estimate
-     * @p per_iteration (e.g. a makespanBounds() upper bound). All
-     * energies are build-time facts of the template, so they are exact;
-     * only the timing is an estimate. The report carries
-     * "critpath.estimated" = 1 so exports can tell estimated points
-     * from simulated ones. Bound-pruned sweep points use this.
-     */
-    TrainingReport estimateIterations(int n, const IterationTemplate *tmpl,
-                                      PicoSeconds per_iteration);
-
-    /**
      * Compile one training iteration into a replayable template (see
      * IterationTemplate). Pure with respect to simulation results: the
      * machine's mutable state is untouched except the route cache and
@@ -163,12 +151,6 @@ class LerGanAccelerator
     Machine &machine() { return machine_; }
 
   private:
-    /** Assemble the per-iteration report from a template plus the
-     *  (real or estimated) timing outcome. */
-    TrainingReport assembleReport(const IterationTemplate &tmpl,
-                                  PicoSeconds iteration_time,
-                                  const StatSet &exec_stats) const;
-
     GanModel model_;
     AcceleratorConfig config_;
     std::shared_ptr<const CompiledGan> compiled_;

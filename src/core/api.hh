@@ -74,10 +74,6 @@ namespace lergan {
  * fault configs are distinct cache keys, so sessions sharing a cache
  * never alias a healthy mapping with a degraded one.
  *
- * Bound pruning (ExperimentSweep::withBoundPruning) stays on the sweep:
- * it skips a point whose makespan bracket already decides its side of
- * a baseline point's makespan, and a one-point session has no baseline.
- *
  * User errors (an unusable configuration, see
  * AcceleratorConfig::checkUsable, or fewer than one iteration) surface
  * as std::invalid_argument; internal invariant violations still panic.

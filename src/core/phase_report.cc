@@ -17,7 +17,7 @@ phaseTimes(const TaskGraph &graph, const ExecRecord &record)
     for (TaskId id = 0; id < graph.size(); ++id) {
         const PicoSeconds start = record.start[id];
         const PicoSeconds end = record.end[id];
-        PhaseTime &family = families[taskPhaseOf(graph.task(id).label)];
+        PhaseTime &family = families[taskPhaseOf(graph.label(id))];
         if (family.tasks == 0) {
             family.firstStart = start;
             family.lastEnd = end;

@@ -1,13 +1,11 @@
 #include "core/sweep.hh"
 
 #include <chrono>
-#include <unordered_map>
 
 #include "common/logging.hh"
 #include "core/validate.hh"
 #include "exec/thread_pool.hh"
 #include "critpath/critpath.hh"
-#include "critpath/whatif.hh"
 #include "telemetry/tracing.hh"
 
 namespace lergan {
@@ -48,27 +46,6 @@ simulatePoint(const GanModel &model, const AcceleratorConfig &config,
         tmpl = context.templates.get(
             pairFingerprint(model, config),
             [&] { return accelerator.makeIterationTemplate(); });
-    }
-
-    if (context.pruneAgainst) {
-        const PicoSeconds baseline = *context.pruneAgainst;
-        const MakespanBounds bounds = makespanBounds(
-            tmpl->graph, accelerator.machine().pool().size());
-        if (bounds.provenFasterThan(baseline) ||
-            bounds.provenSlowerThan(baseline)) {
-            // The bracket already decides which side of the baseline
-            // this point lands on: skip the full event simulation and
-            // report the executor-mirror makespan, which equals what
-            // the simulation would have produced (energies are
-            // build-time facts and stay exact). No execution, so no
-            // audit or record.
-            Span span("estimate");
-            span.attr("pruned", true);
-            result.report = accelerator.estimateIterations(
-                iterations, tmpl.get(), bounds.upper);
-            outcome.pruned = true;
-            return outcome;
-        }
     }
 
     // One record serves the audit and the critical path. makeRecordedRun
@@ -167,13 +144,6 @@ ExperimentSweep::withCriticalPath(bool enabled)
     return *this;
 }
 
-ExperimentSweep &
-ExperimentSweep::withBoundPruning(bool enabled)
-{
-    pruning_ = enabled;
-    return *this;
-}
-
 std::size_t
 ExperimentSweep::pointCount() const
 {
@@ -187,21 +157,12 @@ ExperimentSweep::run(const RunOptions &options) const
         const GanModel *model;
         const std::string *label;
         const AcceleratorConfig *config;
-        /** First-config grid point: the pruning reference, always
-         *  simulated fully. */
-        bool baseline = false;
-        /** Non-baseline grid point: bound pruning may skip its event
-         *  simulation. Explicit extra points are never prunable. */
-        bool prunable = false;
     };
     std::vector<Point> points;
     points.reserve(pointCount());
-    for (const GanModel &model : models_) {
-        for (std::size_t c = 0; c < configs_.size(); ++c) {
-            points.push_back({&model, &configs_[c].first,
-                              &configs_[c].second, c == 0, c != 0});
-        }
-    }
+    for (const GanModel &model : models_)
+        for (const auto &[label, config] : configs_)
+            points.push_back({&model, &label, &config});
     for (const ExplicitPoint &extra : extraPoints_)
         points.push_back({&extra.model, &extra.label, &extra.config});
     LERGAN_ASSERT(!points.empty(),
@@ -213,19 +174,14 @@ ExperimentSweep::run(const RunOptions &options) const
     MetricsRegistry *metrics = observers_.telemetry.get();
     std::vector<SweepResult> results(points.size());
 
-    // Per-benchmark baseline makespans the pruning decisions compare
-    // against. Filled on the main thread between the baseline batch and
-    // the rest, so the point bodies only ever read it.
-    std::unordered_map<std::string, PicoSeconds> baselineTime;
-
     // One executor arena per worker lane, reused across every point
-    // that lane runs (and across the pruning path's two batches): the
-    // calendar/counter buffers and the audit-only record grow to the
-    // largest graph once, then steady-state points allocate nothing.
-    // Lanes never run two bodies concurrently (ThreadPool::forEach), so
-    // indexing by lane is race-free. Each arena starts on its own cache
-    // line: the calendar's hot fields of one lane must not share a line
-    // with the neighbouring lane's buffers.
+    // that lane runs: the calendar/counter buffers and the audit-only
+    // record grow to the largest graph once, then steady-state points
+    // allocate nothing. Lanes never run two bodies concurrently
+    // (ThreadPool::forEach), so indexing by lane is race-free. Each
+    // arena starts on its own cache line: the calendar's hot fields of
+    // one lane must not share a line with the neighbouring lane's
+    // buffers.
     struct alignas(64) LaneArena {
         ExecScratch scratch;
         ExecRecord record;
@@ -245,11 +201,6 @@ ExperimentSweep::run(const RunOptions &options) const
                              .observers = observers_,
                              .scratch = &arenas[lane].scratch,
                              .record = &arenas[lane].record};
-        if (pruning_ && point.prunable) {
-            const auto base = baselineTime.find(point.model->name);
-            if (base != baselineTime.end())
-                context.pruneAgainst = base->second;
-        }
         // Under withTracing, the engine's root "point" span is open on
         // this thread; name it and hang the stage spans below it.
         annotate("benchmark", point.model->name);
@@ -258,11 +209,6 @@ ExperimentSweep::run(const RunOptions &options) const
         const PointOutcome outcome =
             simulatePoint(*point.model, *point.config, options.iterations,
                           context, result);
-        if (pruning_ && metrics) {
-            metrics->counter(outcome.pruned ? "critpath.pruned"
-                                            : "critpath.simulated")
-                .add(1);
-        }
         if (options.pointTelemetry) {
             result.telemetry.ran = true;
             result.telemetry.cacheHit = outcome.cacheHit;
@@ -274,55 +220,9 @@ ExperimentSweep::run(const RunOptions &options) const
     };
 
     FlightRecorder *recorder = observers_.recorder.get();
-    std::vector<PointStatus> statuses;
-    if (!pruning_) {
-        statuses = runPoints(points.size(),
-                             static_cast<unsigned>(options.threads),
-                             body, options.onProgress, metrics,
-                             recorder);
-    } else {
-        // Baselines first (they anchor the pruning decisions), then
-        // everything else; progress counts stay monotonic across the
-        // two batches.
-        statuses.resize(points.size());
-        std::vector<std::size_t> first, rest;
-        for (std::size_t i = 0; i < points.size(); ++i)
-            (points[i].baseline ? first : rest).push_back(i);
-        const auto runBatch = [&](const std::vector<std::size_t> &batch,
-                                  std::size_t done_before) {
-            if (batch.empty())
-                return;
-            ProgressFn progress;
-            if (options.onProgress) {
-                progress = [&, done_before](std::size_t done,
-                                            std::size_t) {
-                    options.onProgress(done_before + done,
-                                       points.size());
-                };
-            }
-            // Batch index != grid index, so map trace ids back to the
-            // original grid: a point keeps one trace id no matter
-            // which batch ran it.
-            const auto batch_statuses = runPoints(
-                batch.size(), static_cast<unsigned>(options.threads),
-                [&](std::size_t k, std::size_t lane) {
-                    body(batch[k], lane);
-                },
-                progress, metrics, recorder, [&](std::size_t k) {
-                    return static_cast<TraceId>(batch[k]) + 1;
-                });
-            for (std::size_t k = 0; k < batch.size(); ++k)
-                statuses[batch[k]] = batch_statuses[k];
-        };
-        runBatch(first, 0);
-        for (std::size_t i : first) {
-            if (statuses[i].ok) {
-                baselineTime[points[i].model->name] =
-                    results[i].report.iterationTime;
-            }
-        }
-        runBatch(rest, first.size());
-    }
+    std::vector<PointStatus> statuses =
+        runPoints(points.size(), static_cast<unsigned>(options.threads),
+                  body, options.onProgress, metrics, recorder);
 
     if (metrics) {
         // Exact totals (deterministic: misses = distinct compiled

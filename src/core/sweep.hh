@@ -21,7 +21,6 @@
 #define LERGAN_CORE_SWEEP_HH
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -112,21 +111,12 @@ struct PointContext {
     /** The running lane's record for audit-only points (null = a
      *  fresh one). Must not be shared with a concurrent point. */
     ExecRecord *record = nullptr;
-    /**
-     * Bound pruning: the benchmark's baseline makespan. When set and
-     * the point's analytic makespan bounds already decide which side
-     * of it the point lands on, the event simulation is skipped (see
-     * ExperimentSweep::withBoundPruning).
-     */
-    std::optional<PicoSeconds> pruneAgainst = std::nullopt;
 };
 
 /** What simulatePoint() observed besides the result it filled. */
 struct PointOutcome {
     /** The compile was served from the compiled-model cache. */
     bool cacheHit = false;
-    /** Bound pruning replaced the event simulation by an estimate. */
-    bool pruned = false;
 };
 
 /**
@@ -134,12 +124,12 @@ struct PointOutcome {
  * ExperimentSweep::run and SimulationSession::run/audit: validated
  * compile through the compiled-model cache, the Prevalidated
  * accelerator, the iteration template through the template cache,
- * optional bound pruning, simulate, audit, critical-path record.
+ * simulate, audit, critical-path record.
  *
  * Fills @p result's report, crossbar counts and audit verdict; the
  * caller owns its benchmark/label and failure fields. Stage spans
- * ("compile", "template", "estimate" or "simulate", "audit") nest under
- * the calling thread's open span. An unusable configuration throws
+ * ("compile", "template", "simulate", "audit") nest under the calling
+ * thread's open span. An unusable configuration throws
  * std::invalid_argument before anything compiles.
  */
 PointOutcome simulatePoint(const GanModel &model,
@@ -226,23 +216,6 @@ class ExperimentSweep
     ExperimentSweep &withCriticalPath(bool enabled = true);
 
     /**
-     * Bound-based pruning of comparison sweeps: the first addConfig'd
-     * configuration is the per-benchmark baseline and always simulates
-     * fully; every other grid point first computes analytic makespan
-     * bounds (critpath/whatif.hh makespanBounds) and skips the event
-     * simulation when the bracket already decides which side of the
-     * baseline it lands on. Pruned points report the bound's
-     * list-schedule estimate as their time (stats carry
-     * "critpath.estimated" = 1; energies stay exact — they are
-     * build-time facts), skip auditing and recording, and count into
-     * the attached telemetry's "critpath.pruned" counter; fully
-     * simulated points count into "critpath.simulated". Explicit
-     * addPoint() points are never pruned. Off by default — the golden
-     * figure grids always simulate every point exactly.
-     */
-    ExperimentSweep &withBoundPruning(bool enabled = true);
-
-    /**
      * Simulate every point under @p options; results are ordered
      * benchmark-major (then explicit points in insertion order)
      * regardless of completion order. A throwing point yields a failed
@@ -283,7 +256,6 @@ class ExperimentSweep
     std::shared_ptr<CompiledModelCache> cache_;
     std::shared_ptr<MemoCache<IterationTemplate>> templates_;
     PointObservers observers_;
-    bool pruning_ = false;
 };
 
 } // namespace lergan

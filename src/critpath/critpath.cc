@@ -60,17 +60,6 @@ sortedRollup(const std::map<std::string, PicoSeconds> &totals)
     return rollup;
 }
 
-/** Per-task offset into ExecRecord::resPrev (CSR over resource lists),
- *  mirroring the executor's frozen layout. */
-std::vector<std::size_t>
-resourceSlotOffsets(const TaskGraph &graph)
-{
-    std::vector<std::size_t> offsets(graph.size() + 1, 0);
-    for (TaskId id = 0; id < graph.size(); ++id)
-        offsets[id + 1] = offsets[id] + graph.task(id).resources.size();
-    return offsets;
-}
-
 /**
  * Per-task slack from a backward pass over the recorded timing graph:
  * dependency edges plus, for every reservation, the edge from the
@@ -82,49 +71,32 @@ std::vector<PicoSeconds>
 computeSlack(const TaskGraph &graph, const ExecRecord &record)
 {
     const std::size_t n = graph.size();
-    const std::vector<std::size_t> offsets = resourceSlotOffsets(graph);
-
-    // CSR successor lists of the timing graph, counting sort as usual.
-    std::vector<std::size_t> succStart(n + 1, 0);
-    for (const auto &[dep, task] : graph.edges()) {
-        (void)task;
-        succStart[dep + 1]++;
-    }
-    for (std::size_t slot = 0; slot < record.resPrev.size(); ++slot) {
-        if (record.resPrev[slot] != kNoTask)
-            succStart[record.resPrev[slot] + 1]++;
-    }
-    for (std::size_t id = 0; id < n; ++id)
-        succStart[id + 1] += succStart[id];
-    std::vector<TaskId> succIds(succStart[n]);
-    std::vector<std::size_t> fill(succStart.begin(), succStart.end() - 1);
-    for (const auto &[dep, task] : graph.edges())
-        succIds[fill[dep]++] = task;
-    for (TaskId id = 0; id < n; ++id) {
-        for (std::size_t slot = offsets[id]; slot < offsets[id + 1];
-             ++slot) {
-            if (record.resPrev[slot] != kNoTask)
-                succIds[fill[record.resPrev[slot]]++] = id;
-        }
-    }
-
     // Backward pass in reverse completion order (a reverse topological
     // order of the timing graph): the latest a task may end without
     // pushing any successor past its own latest end — or the makespan,
-    // for sinks.
+    // for sinks. Dependency successors are pulled from the graph. A
+    // reservation edge is pushed instead, from each holder to its
+    // resPrev: the previous holder completed earlier, so this reverse
+    // pass reaches it later.
     std::vector<PicoSeconds> lateEnd(n, record.makespan);
     std::vector<PicoSeconds> slack(n, 0);
     for (std::size_t i = record.completionOrder.size(); i-- > 0;) {
         const TaskId id = record.completionOrder[i];
-        PicoSeconds late = record.makespan;
-        for (std::size_t e = succStart[id]; e < succStart[id + 1]; ++e) {
-            const TaskId succ = succIds[e];
+        PicoSeconds late = lateEnd[id];
+        for (const TaskId succ : graph.successors(id)) {
             const PicoSeconds dur =
                 record.end[succ] - record.start[succ];
             late = std::min(late, lateEnd[succ] - dur);
         }
         lateEnd[id] = late;
         slack[id] = late - record.end[id];
+        const PicoSeconds lateStart =
+            late - (record.end[id] - record.start[id]);
+        for (const std::uint32_t slot : graph.resourceSlots(id)) {
+            const TaskId prev = record.resPrev[slot];
+            if (prev != kNoTask)
+                lateEnd[prev] = std::min(lateEnd[prev], lateStart);
+        }
     }
     return slack;
 }
@@ -160,22 +132,21 @@ extractCriticalPath(const TaskGraph &graph, const ExecRecord &record,
     std::map<std::string, PicoSeconds> by_category;
     path.entries.reserve(chain.size());
     for (TaskId id : chain) {
-        const Task &task = graph.task(id);
+        const auto resources = graph.resources(id);
         CritEntry entry;
         entry.task = id;
-        entry.label = task.label;
-        entry.phase = taskPhaseOf(task.label);
+        entry.label = graph.label(id);
+        entry.phase = taskPhaseOf(entry.label);
         entry.kind = record.bindingKind[id];
         if (entry.kind == BindingKind::Resource &&
             record.bindingRes[id] < resource_names.size()) {
             entry.resource = resource_names[record.bindingRes[id]];
         }
         entry.category =
-            task.resources.empty() ||
-                    task.resources.front() >= resource_names.size()
+            resources.empty() ||
+                    resources.front() >= resource_names.size()
                 ? "none"
-                : resourceCategoryOf(
-                      resource_names[task.resources.front()]);
+                : resourceCategoryOf(resource_names[resources.front()]);
         entry.start = record.start[id];
         entry.duration = record.end[id] - record.start[id];
         by_phase[entry.phase] += entry.duration;

@@ -20,7 +20,7 @@ scaleText(double scale)
     return buf;
 }
 
-/** Recorded duration of every task (end - start, == Task::duration). */
+/** Recorded duration of every task (end - start, == graph.duration). */
 std::vector<PicoSeconds>
 recordedDurations(const RecordedRun &run)
 {
@@ -36,39 +36,13 @@ bool
 holdsCategory(const RecordedRun &run, TaskId id,
               const std::string &category)
 {
-    for (std::size_t rid : run.graph->task(id).resources) {
+    for (const std::size_t rid : run.graph->resources(id)) {
         if (rid < run.resourceNames.size() &&
             category == resourceCategoryOf(run.resourceNames[rid])) {
             return true;
         }
     }
     return false;
-}
-
-/** CSR predecessor (dependency) lists by task. */
-struct PredLists {
-    std::vector<std::size_t> start;
-    std::vector<TaskId> ids;
-};
-
-PredLists
-predecessorLists(const TaskGraph &graph)
-{
-    const std::size_t n = graph.size();
-    PredLists preds;
-    preds.start.assign(n + 1, 0);
-    for (const auto &[dep, task] : graph.edges()) {
-        (void)dep;
-        preds.start[task + 1]++;
-    }
-    for (std::size_t id = 0; id < n; ++id)
-        preds.start[id + 1] += preds.start[id];
-    preds.ids.resize(preds.start[n]);
-    std::vector<std::size_t> fill(preds.start.begin(),
-                                  preds.start.end() - 1);
-    for (const auto &[dep, task] : graph.edges())
-        preds.ids[fill[task]++] = dep;
-    return preds;
 }
 
 /**
@@ -84,22 +58,18 @@ lowerBound(const TaskGraph &graph,
            const std::vector<TaskId> &order, std::size_t resource_count)
 {
     const std::size_t n = graph.size();
-    const PredLists preds = predecessorLists(graph);
-    std::vector<PicoSeconds> chain(n, 0);
+    std::vector<PicoSeconds> ready(n, 0);
     PicoSeconds longest = 0;
-    for (TaskId id : order) {
-        PicoSeconds ready = 0;
-        for (std::size_t e = preds.start[id]; e < preds.start[id + 1];
-             ++e) {
-            ready = std::max(ready, chain[preds.ids[e]]);
-        }
-        chain[id] = ready + durations[id];
-        longest = std::max(longest, chain[id]);
+    for (const TaskId id : order) {
+        const PicoSeconds chain = ready[id] + durations[id];
+        longest = std::max(longest, chain);
+        for (const TaskId succ : graph.successors(id))
+            ready[succ] = std::max(ready[succ], chain);
     }
 
     std::vector<PicoSeconds> work(resource_count, 0);
     for (TaskId id = 0; id < n; ++id)
-        for (std::size_t rid : graph.task(id).resources)
+        for (const std::size_t rid : graph.resources(id))
             work[rid] += durations[id];
     for (std::size_t rid = 0; rid < resource_count; ++rid) {
         const std::uint64_t c =
@@ -118,34 +88,17 @@ lowerBound(const TaskGraph &graph,
  * takes the earliest-free unit). With every copy count at one the
  * mirror reproduces the event simulation's schedule decision for
  * decision, so the makespan it returns IS the resimulated makespan of
- * the transformed graph. Optionally emits the fire order (a topological
- * order) for the lower bound's chain pass.
+ * the transformed graph.
  */
 PicoSeconds
 simulateList(const TaskGraph &graph,
              const std::vector<PicoSeconds> &durations,
              const std::vector<std::uint32_t> &copies,
-             std::size_t resource_count, std::vector<TaskId> *fire_order)
+             std::size_t resource_count)
 {
     const std::size_t n = graph.size();
-    std::vector<std::uint32_t> unmet(n, 0);
-    for (const auto &[dep, task] : graph.edges()) {
-        (void)dep;
-        unmet[task]++;
-    }
-    // CSR successor lists (addDep order preserved, as in the executor).
-    std::vector<std::size_t> succStart(n + 1, 0);
-    for (const auto &[dep, task] : graph.edges()) {
-        (void)task;
-        succStart[dep + 1]++;
-    }
-    for (std::size_t id = 0; id < n; ++id)
-        succStart[id + 1] += succStart[id];
-    std::vector<TaskId> succIds(succStart[n]);
-    std::vector<std::size_t> fill(succStart.begin(),
-                                  succStart.end() - 1);
-    for (const auto &[dep, task] : graph.edges())
-        succIds[fill[dep]++] = task;
+    const auto depCounts = graph.dependencyCounts();
+    std::vector<std::uint32_t> unmet(depCounts.begin(), depCounts.end());
 
     struct Event {
         PicoSeconds time;
@@ -192,21 +145,17 @@ simulateList(const TaskGraph &graph,
         queue.pop();
         const TaskId id = event.id;
         if (!event.complete) {
-            if (fire_order)
-                fire_order->push_back(id);
             PicoSeconds start = event.time;
-            for (std::size_t rid : graph.task(id).resources)
+            for (const std::size_t rid : graph.resources(id))
                 start = std::max(start, unitFree[earliestUnit(rid)]);
             const PicoSeconds end = start + durations[id];
-            for (std::size_t rid : graph.task(id).resources)
+            for (const std::size_t rid : graph.resources(id))
                 unitFree[earliestUnit(rid)] = end;
             queue.push({end, seq++, id, true});
         } else {
             makespan = std::max(makespan, event.time);
             ++completed;
-            for (std::size_t e = succStart[id]; e < succStart[id + 1];
-                 ++e) {
-                const TaskId succ = succIds[e];
+            for (const TaskId succ : graph.successors(id)) {
                 ready[succ] = std::max(ready[succ], event.time);
                 LERGAN_ASSERT(unmet[succ] > 0, "dependency underflow");
                 if (--unmet[succ] == 0)
@@ -238,7 +187,7 @@ scalePhase(const RecordedRun &run, const std::string &phase,
     transform.description = "phase " + phase + " x" + scaleText(scale);
     transform.durations = recordedDurations(run);
     for (TaskId id = 0; id < transform.durations.size(); ++id) {
-        if (taskPhaseOf(run.graph->task(id).label) == phase) {
+        if (taskPhaseOf(run.graph->label(id)) == phase) {
             transform.durations[id] = static_cast<PicoSeconds>(
                 static_cast<double>(transform.durations[id]) * scale +
                 0.5);
@@ -304,7 +253,7 @@ whatIf(const RecordedRun &run, const WhatIfTransform &transform)
 
     std::size_t resource_count = run.resourceNames.size();
     for (TaskId id = 0; id < n; ++id)
-        for (std::size_t rid : graph.task(id).resources)
+        for (const std::size_t rid : graph.resources(id))
             resource_count = std::max(resource_count, rid + 1);
     resource_count = std::max(resource_count, transform.copies.size());
 
@@ -318,26 +267,25 @@ whatIf(const RecordedRun &run, const WhatIfTransform &transform)
     // topological order of the timing graph) and recompute every end
     // time against dependencies and the recorded per-resource grant
     // order. With c copies of a resource, a reservation waits for the
-    // c-th most recent grant instead of the latest one.
-    const PredLists preds = predecessorLists(graph);
-    std::vector<PicoSeconds> end(n, 0);
+    // c-th most recent grant instead of the latest one. Each task
+    // pushes its end time to its dependency successors, which come
+    // later in that order.
+    std::vector<PicoSeconds> ready(n, 0);
     std::vector<std::vector<PicoSeconds>> grants(resource_count);
-    for (TaskId id : record.completionOrder) {
-        PicoSeconds start = 0;
-        for (std::size_t e = preds.start[id]; e < preds.start[id + 1];
-             ++e) {
-            start = std::max(start, end[preds.ids[e]]);
-        }
-        for (std::size_t rid : graph.task(id).resources) {
+    for (const TaskId id : record.completionOrder) {
+        PicoSeconds start = ready[id];
+        for (const std::size_t rid : graph.resources(id)) {
             const std::vector<PicoSeconds> &g = grants[rid];
             const std::size_t c = copiesOf(rid);
             if (g.size() >= c)
                 start = std::max(start, g[g.size() - c]);
         }
-        end[id] = start + durations[id];
-        for (std::size_t rid : graph.task(id).resources)
-            grants[rid].push_back(end[id]);
-        estimate.makespan = std::max(estimate.makespan, end[id]);
+        const PicoSeconds end = start + durations[id];
+        for (const std::size_t rid : graph.resources(id))
+            grants[rid].push_back(end);
+        for (const TaskId succ : graph.successors(id))
+            ready[succ] = std::max(ready[succ], end);
+        estimate.makespan = std::max(estimate.makespan, end);
     }
     // The replay above keeps the recorded grant order, which a real
     // resimulation would not (list-scheduling anomalies cut both ways),
@@ -346,39 +294,10 @@ whatIf(const RecordedRun &run, const WhatIfTransform &transform)
     // lean mirror — for unchanged copy counts that IS the resimulated
     // makespan.
     estimate.upper = simulateList(graph, durations, transform.copies,
-                                  resource_count, nullptr);
+                                  resource_count);
     estimate.lower = lowerBound(graph, durations, transform.copies,
                                 record.completionOrder, resource_count);
     return estimate;
-}
-
-MakespanBounds
-makespanBounds(const TaskGraph &graph, std::size_t resource_count)
-{
-    const std::size_t n = graph.size();
-    MakespanBounds bounds;
-    if (n == 0)
-        return bounds;
-    for (TaskId id = 0; id < n; ++id)
-        for (std::size_t rid : graph.task(id).resources)
-            resource_count = std::max(resource_count, rid + 1);
-
-    std::vector<PicoSeconds> durations(n, 0);
-    for (TaskId id = 0; id < n; ++id)
-        durations[id] = graph.task(id).duration;
-
-    // The mirror reproduces the event simulation's schedule exactly, so
-    // the upper bound is the true makespan of this graph; the
-    // dependency/work bound below is the (cheaper, analytic) lower one.
-    // The mirror's fire order is a topological order the lower bound's
-    // chain pass walks.
-    std::vector<TaskId> order;
-    order.reserve(n);
-    bounds.upper =
-        simulateList(graph, durations, {}, resource_count, &order);
-    bounds.lower = lowerBound(graph, durations, {}, order,
-                              resource_count);
-    return bounds;
 }
 
 } // namespace lergan

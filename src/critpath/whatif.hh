@@ -36,10 +36,10 @@
  * graphs (measured: up to ~15% on seeded random DAGs). The replay is
  * the instant estimate; the mirror is the bound.
  *
- * makespanBounds() provides the same bounds for a *never-executed*
- * graph; its upper bound equals the event simulation's makespan, so
- * sweep pruning decisions match what a full simulation would conclude
- * while skipping the execution-side machinery.
+ * The mirror is a second full event loop, so it costs about as much as
+ * the simulation it mirrors. That is why no sweep uses it to skip
+ * simulating a point: the bounds exist to judge a what-if, not to
+ * replace the executor.
  */
 
 #ifndef LERGAN_CRITPATH_WHATIF_HH
@@ -111,37 +111,6 @@ WhatIfTransform duplicateResourceCategory(const RecordedRun &run,
 /** Replay the recorded timing graph under @p transform. */
 WhatIfEstimate whatIf(const RecordedRun &run,
                       const WhatIfTransform &transform);
-
-/** Lower/upper makespan bounds for a graph (executed or not). */
-struct MakespanBounds {
-    PicoSeconds lower = 0;
-    PicoSeconds upper = 0;
-
-    /** True when the bracket proves this graph's makespan is below
-     *  @p reference. */
-    bool provenFasterThan(PicoSeconds reference) const
-    {
-        return upper < reference;
-    }
-    /** True when the bracket proves it is above @p reference. */
-    bool provenSlowerThan(PicoSeconds reference) const
-    {
-        return lower > reference;
-    }
-};
-
-/**
- * Analytic makespan bounds for @p graph without running the full event
- * simulation: the dependency/work lower bound plus an upper bound from
- * a lean mirror of the executor's event loop (identical schedule, none
- * of the pool/stats/trace machinery) — so upper equals the event
- * simulation's makespan exactly.
- *
- * @param resource_count size of the pool the graph's resource ids
- *                       index into.
- */
-MakespanBounds makespanBounds(const TaskGraph &graph,
-                              std::size_t resource_count);
 
 } // namespace lergan
 

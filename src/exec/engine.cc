@@ -11,7 +11,7 @@ namespace lergan {
 std::vector<PointStatus>
 runPoints(std::size_t count, unsigned threads, const PointBodyFn &body,
           const ProgressFn &onProgress, MetricsRegistry *metrics,
-          FlightRecorder *recorder, const PointTraceIdFn &traceId)
+          FlightRecorder *recorder)
 {
     std::vector<PointStatus> statuses(count);
     if (count == 0)
@@ -47,8 +47,7 @@ runPoints(std::size_t count, unsigned threads, const PointBodyFn &body,
         if (recorder) {
             TraceLaneBinding bind(recorder->lane(lane),
                                   static_cast<std::uint32_t>(lane));
-            const TraceId trace =
-                traceId ? traceId(i) : static_cast<TraceId>(i) + 1;
+            const TraceId trace = static_cast<TraceId>(i) + 1;
             st.queueWaitMs =
                 static_cast<double>(traceNowNs() - enqueueNs) * 1e-6;
             {

@@ -76,15 +76,6 @@ struct PointStatus {
 using PointBodyFn = std::function<void(std::size_t, std::size_t)>;
 
 /**
- * Maps an engine point index to the TraceId its spans record under.
- * Defaults to i + 1 (trace 0 is reserved). A caller running a
- * *subset* of a larger grid (the bound-pruning batches) passes the
- * mapping back to original grid indices so a point keeps one trace id
- * across every batch it could appear in.
- */
-using PointTraceIdFn = std::function<TraceId(std::size_t)>;
-
-/**
  * Execute @p body(i, lane) for every i in [0, count) on @p threads
  * workers (0 = defaultThreadCount()) and block until all points
  * finished. Points are claimed in chunks off a shared cursor (see
@@ -109,15 +100,14 @@ using PointTraceIdFn = std::function<TraceId(std::size_t)>;
  * the body runs (so the body's own spans nest under the root), the
  * point's queue wait is attached as a host attribute, a failed point
  * gets its resident span tree dumped into PointStatus::spanDump, and
- * the per-point span count / queue wait land in the status. Trace ids
- * come from @p traceId (default: point index + 1).
+ * the per-point span count / queue wait land in the status. Point i
+ * records under trace id i + 1.
  */
 std::vector<PointStatus> runPoints(std::size_t count, unsigned threads,
                                    const PointBodyFn &body,
                                    const ProgressFn &onProgress = {},
                                    MetricsRegistry *metrics = nullptr,
-                                   FlightRecorder *recorder = nullptr,
-                                   const PointTraceIdFn &traceId = {});
+                                   FlightRecorder *recorder = nullptr);
 
 } // namespace lergan
 

@@ -7,22 +7,37 @@
 namespace lergan {
 
 TaskId
-TaskGraph::addTask(Task task)
+TaskGraph::addTask(std::string_view label,
+                   std::span<const std::size_t> resources,
+                   PicoSeconds duration)
 {
     LERGAN_ASSERT(!frozen_->done, "addTask after the graph was executed");
-    tasks_.push_back(std::move(task));
+    auto it = labelIndex_.find(label);
+    if (it == labelIndex_.end()) {
+        it = labelIndex_
+                 .emplace(std::string(label),
+                          static_cast<std::uint32_t>(labels_.size()))
+                 .first;
+        labels_.emplace_back(label);
+    }
+    labelIds_.push_back(it->second);
+    durations_.push_back(duration);
+    for (std::size_t rid : resources)
+        resIds_.push_back(static_cast<std::uint32_t>(rid));
+    resStart_.push_back(static_cast<std::uint32_t>(resIds_.size()));
     depCount_.push_back(0);
-    return tasks_.size() - 1;
+    return durations_.size() - 1;
 }
 
 void
 TaskGraph::addDep(TaskId task, TaskId dep)
 {
     LERGAN_ASSERT(!frozen_->done, "addDep after the graph was executed");
-    LERGAN_ASSERT(task < tasks_.size(), "addDep: bad task id ", task);
-    LERGAN_ASSERT(dep < tasks_.size(), "addDep: bad dep id ", dep);
+    LERGAN_ASSERT(task < size(), "addDep: bad task id ", task);
+    LERGAN_ASSERT(dep < size(), "addDep: bad dep id ", dep);
     LERGAN_ASSERT(dep != task, "task cannot depend on itself");
-    edges_.emplace_back(dep, task);
+    edges_.emplace_back(static_cast<std::uint32_t>(dep),
+                        static_cast<std::uint32_t>(task));
     depCount_[task]++;
 }
 
@@ -31,23 +46,10 @@ TaskGraph::freeze() const
 {
     Frozen &f = *frozen_;
     std::call_once(f.once, [this, &f] {
-        const std::size_t n = tasks_.size();
-        f.durations.resize(n);
-        f.resStart.assign(n + 1, 0);
-        for (std::size_t id = 0; id < n; ++id) {
-            f.durations[id] = tasks_[id].duration;
-            f.resStart[id + 1] =
-                f.resStart[id] +
-                static_cast<std::uint32_t>(tasks_[id].resources.size());
-        }
-        f.resIds.reserve(f.resStart[n]);
-        for (const Task &task : tasks_)
-            for (std::size_t rid : task.resources)
-                f.resIds.push_back(static_cast<std::uint32_t>(rid));
-
         // CSR successor lists via a counting sort over the edge list:
         // stable, so each task's successors keep their addDep order —
         // the firing-order contract depends on it.
+        const std::size_t n = size();
         f.succStart.assign(n + 1, 0);
         for (const auto &[dep, task] : edges_)
             f.succStart[dep + 1]++;
@@ -57,8 +59,11 @@ TaskGraph::freeze() const
         std::vector<std::uint32_t> fill(f.succStart.begin(),
                                         f.succStart.end() - 1);
         for (const auto &[dep, task] : edges_)
-            f.succIds[fill[dep]++] = static_cast<std::uint32_t>(task);
+            f.succIds[fill[dep]++] = task;
 
+        // Nothing may be added any more, so the build-only state goes.
+        edges_ = {};
+        labelIndex_ = {};
         f.done = true;
     });
     return f;
@@ -69,7 +74,12 @@ TaskGraph::execute(ResourcePool &pool, MetricsRegistry *metrics,
                    ExecScratch *scratch, ExecRecord *record) const
 {
     const Frozen &f = freeze();
-    const std::size_t n = tasks_.size();
+    const std::size_t n = size();
+    const std::vector<PicoSeconds> &durations = durations_;
+    const std::vector<std::uint32_t> &resStart = resStart_;
+    const std::vector<std::uint32_t> &resIds = resIds_;
+    const std::vector<std::uint32_t> &succStart = f.succStart;
+    const std::vector<std::uint32_t> &succIds = f.succIds;
 
     ExecResult result;
 
@@ -88,7 +98,7 @@ TaskGraph::execute(ResourcePool &pool, MetricsRegistry *metrics,
         record->bindingPred.resize(n);
         record->bindingKind.resize(n);
         record->bindingRes.resize(n);
-        record->resPrev.resize(f.resStart[n]);
+        record->resPrev.resize(resIds.size());
         record->completionOrder.resize(n);
         record->lastTask = kNoTask;
         record->makespan = 0;
@@ -132,11 +142,11 @@ TaskGraph::execute(ResourcePool &pool, MetricsRegistry *metrics,
         const TaskId id = event.task;
         if (!event.complete) {
             PicoSeconds start = s.queue.now();
-            const std::uint32_t resBegin = f.resStart[id];
-            const std::uint32_t resEnd = f.resStart[id + 1];
+            const std::uint32_t resBegin = resStart[id];
+            const std::uint32_t resEnd = resStart[id + 1];
             if (!record) {
                 for (std::uint32_t r = resBegin; r < resEnd; ++r)
-                    start = std::max(start, pool[f.resIds[r]].nextFree());
+                    start = std::max(start, pool[resIds[r]].nextFree());
             } else {
                 // Binding rule: the fire time (now) is the ready time —
                 // the moment the last dependency released the task. If
@@ -150,7 +160,7 @@ TaskGraph::execute(ResourcePool &pool, MetricsRegistry *metrics,
                 // the fire-time start value).
                 std::uint32_t bind_slot = ExecRecord::kNoResource;
                 for (std::uint32_t r = resBegin; r < resEnd; ++r) {
-                    const std::uint32_t rid = f.resIds[r];
+                    const std::uint32_t rid = resIds[r];
                     const PicoSeconds free = pool[rid].nextFree();
                     record->resPrev[r] = s.lastHolder[rid];
                     s.lastHolder[rid] = id;
@@ -163,7 +173,7 @@ TaskGraph::execute(ResourcePool &pool, MetricsRegistry *metrics,
                 if (bind_slot != ExecRecord::kNoResource) {
                     record->bindingKind[id] = BindingKind::Resource;
                     record->bindingPred[id] = record->resPrev[bind_slot];
-                    record->bindingRes[id] = f.resIds[bind_slot];
+                    record->bindingRes[id] = resIds[bind_slot];
                 } else if (s.bindingDep[id] != kNoTask) {
                     record->bindingKind[id] = BindingKind::Dependency;
                     record->bindingPred[id] = s.bindingDep[id];
@@ -176,11 +186,11 @@ TaskGraph::execute(ResourcePool &pool, MetricsRegistry *metrics,
             }
             for (std::uint32_t r = resBegin; r < resEnd; ++r) {
                 const PicoSeconds got =
-                    pool[f.resIds[r]].reserve(start, f.durations[id]);
+                    pool[resIds[r]].reserve(start, durations[id]);
                 LERGAN_ASSERT(got == start, "non-FIFO reservation for ",
-                              tasks_[id].label);
+                              label(id));
             }
-            const PicoSeconds end = start + f.durations[id];
+            const PicoSeconds end = start + durations[id];
             s.queue.scheduleAt(end, TaskEvent{id, true});
             --readyCount;
             ++inflight;
@@ -201,9 +211,9 @@ TaskGraph::execute(ResourcePool &pool, MetricsRegistry *metrics,
                     record->lastTask = id;
                 }
             }
-            for (std::uint32_t e = f.succStart[id];
-                 e < f.succStart[id + 1]; ++e) {
-                const TaskId succ = f.succIds[e];
+            for (std::uint32_t e = succStart[id];
+                 e < succStart[id + 1]; ++e) {
+                const TaskId succ = succIds[e];
                 if (end >= s.ready[succ]) {
                     s.ready[succ] = end;
                     if (record)

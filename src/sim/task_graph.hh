@@ -10,13 +10,18 @@
  * FIFO, which naturally models pipelining across a minibatch and
  * contention on tiles and links.
  *
- * Execution is built for replay speed. On the first execute() the graph
- * freezes its hot state into struct-of-arrays form — a flat duration
- * array plus CSR resource and successor lists — so the event loop never
- * touches the cold per-task strings or per-task vectors. The
- * events themselves are POD (task id + kind) dispatched by a switch in
- * the executor: no closures, no type erasure, no allocation per event.
- * With an ExecScratch the remaining per-run buffers (event calendar,
+ * The graph holds each task once, in the arrays the executor reads: a
+ * label id into a per-graph table of distinct labels (an iteration DAG
+ * has thousands of tasks but only about a hundred distinct labels), a
+ * flat duration array, and a CSR resource list appended by addTask().
+ * Dependencies collect in a (dep, task) build list until the first
+ * execute() (or successors() call) sorts them into CSR successor lists
+ * and drops the list. Post-run readers (audit, critical path, what-if,
+ * trace export) use the same arrays through label(), duration(),
+ * resources(), resourceSlots() and successors(). The events themselves
+ * are POD (task id + kind) dispatched by a switch in the executor: no
+ * closures, no type erasure, no allocation per event. With an
+ * ExecScratch the remaining per-run buffers (event calendar,
  * dependency counters, ready times) are reused across runs, so a replay
  * does near-zero allocation after the first execution.
  *
@@ -29,10 +34,16 @@
 #define LERGAN_SIM_TASK_GRAPH_HH
 
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <ranges>
+#include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -50,16 +61,6 @@ using TaskId = std::size_t;
 
 /** Sentinel meaning "no task". */
 constexpr TaskId kNoTask = std::numeric_limits<TaskId>::max();
-
-/** One schedulable unit of work. */
-struct Task {
-    /** Diagnostic label ("D.fwd L3 img17"). */
-    std::string label;
-    /** Resources occupied for the whole duration (may be empty). */
-    std::vector<std::size_t> resources;
-    /** Occupancy time. Zero-duration tasks act as barriers. */
-    PicoSeconds duration = 0;
-};
 
 /** Result of executing a task graph. */
 struct ExecResult {
@@ -115,25 +116,90 @@ class ExecScratch
  * A directed acyclic graph of tasks with resource requirements.
  *
  * Build with addTask()/addDep(), then run execute(). The first
- * execution freezes the graph (further addTask/addDep calls are a bug);
- * a frozen graph may be executed repeatedly — and concurrently —
- * (resources and runtime state are reset per run).
+ * execution (or successors() call) freezes the graph: further
+ * addTask/addDep calls are a bug. A frozen graph may be executed
+ * repeatedly — and concurrently — (resources and runtime state are
+ * reset per run).
  */
 class TaskGraph
 {
   public:
-    /** Append a task; @return its id. @pre not yet executed. */
-    TaskId addTask(Task task);
+    /**
+     * Append a task; @return its id. @pre not yet frozen.
+     *
+     * @param label     diagnostic label ("D.fwd L3 img17"), interned
+     *                  into the graph's label table.
+     * @param resources resources occupied for the whole duration (may
+     *                  be empty).
+     * @param duration  occupancy time; zero-duration tasks act as
+     *                  barriers.
+     */
+    TaskId addTask(std::string_view label,
+                   std::span<const std::size_t> resources,
+                   PicoSeconds duration);
+
+    /** addTask() with a braced resource list ({r0, r1} or {}). */
+    TaskId
+    addTask(std::string_view label,
+            std::initializer_list<std::size_t> resources,
+            PicoSeconds duration)
+    {
+        return addTask(label,
+                       std::span<const std::size_t>(resources.begin(),
+                                                    resources.size()),
+                       duration);
+    }
 
     /** Declare that @p task cannot start until @p dep has finished.
-     *  @pre not yet executed. */
+     *  @pre not yet frozen. */
     void addDep(TaskId task, TaskId dep);
 
     /** Number of tasks in the graph. */
-    std::size_t size() const { return tasks_.size(); }
+    std::size_t size() const { return durations_.size(); }
 
-    /** Read-only access for post-run readers and tests. */
-    const Task &task(TaskId id) const { return tasks_[id]; }
+    /** @name Read-only views of one task */
+    ///@{
+    const std::string &label(TaskId id) const
+    {
+        return labels_[labelIds_[id]];
+    }
+    /** Index of the task's label in labels(); equal labels share it. */
+    std::uint32_t labelId(TaskId id) const { return labelIds_[id]; }
+    PicoSeconds duration(TaskId id) const { return durations_[id]; }
+    /** Resource ids the task occupies, in addTask order. */
+    std::span<const std::uint32_t>
+    resources(TaskId id) const
+    {
+        return {resIds_.data() + resStart_[id],
+                resIds_.data() + resStart_[id + 1]};
+    }
+    /**
+     * The task's reservation slots: slot resourceSlots(id)[j] holds
+     * resources(id)[j]. ExecRecord::resPrev is indexed by slot.
+     */
+    std::ranges::iota_view<std::uint32_t, std::uint32_t>
+    resourceSlots(TaskId id) const
+    {
+        return {resStart_[id], resStart_[id + 1]};
+    }
+    /** Tasks that depend on @p id, in addDep order. Freezes the graph. */
+    std::span<const std::uint32_t>
+    successors(TaskId id) const
+    {
+        const Frozen &f = freeze();
+        return {f.succIds.data() + f.succStart[id],
+                f.succIds.data() + f.succStart[id + 1]};
+    }
+    ///@}
+
+    /** The distinct labels, indexed by labelId(). */
+    const std::vector<std::string> &labels() const { return labels_; }
+
+    /** Number of addDep() calls naming each task as the dependent. */
+    std::span<const std::uint32_t> dependencyCounts() const
+    {
+        return depCount_;
+    }
 
     /**
      * Execute the whole DAG to completion.
@@ -160,41 +226,45 @@ class TaskGraph
                        ExecScratch *scratch = nullptr,
                        ExecRecord *record = nullptr) const;
 
-    /**
-     * Dependency edges as (dep, task) pairs in addDep order — the cold
-     * mirror of the frozen CSR lists, exposed for post-run analysis
-     * (critical-path slack needs the full edge set, not just each
-     * task's binding predecessor).
-     */
-    const std::vector<std::pair<TaskId, TaskId>> &edges() const
-    {
-        return edges_;
-    }
-
   private:
     /**
-     * Frozen hot state, built once on first execute: struct-of-arrays
-     * mirrors of the task list plus CSR lists, so the event loop reads
-     * only these flat arrays. Heap-held (with its own once_flag) to
+     * CSR successor lists, sorted once from the build list on first
+     * execute() or successors(). Heap-held (with its own once_flag) to
      * keep TaskGraph movable.
      */
     struct Frozen {
         std::once_flag once;
         bool done = false;
-        std::vector<PicoSeconds> durations;
-        std::vector<std::uint32_t> resStart; ///< size N+1
-        std::vector<std::uint32_t> resIds;
         std::vector<std::uint32_t> succStart; ///< size N+1
         std::vector<std::uint32_t> succIds;
     };
 
-    /** Build the SoA/CSR hot state (thread-safe, runs once). */
+    /** Build the successor CSR (thread-safe, runs once). */
     const Frozen &freeze() const;
 
-    std::vector<Task> tasks_;
-    /** Dependency edges as (dep, task), in addDep order. */
-    std::vector<std::pair<TaskId, TaskId>> edges_;
+    /** Transparent hash so label lookups take a string_view. */
+    struct LabelHash {
+        using is_transparent = void;
+        std::size_t operator()(std::string_view s) const
+        {
+            return std::hash<std::string_view>{}(s);
+        }
+    };
+
+    std::vector<std::uint32_t> labelIds_;
+    std::vector<std::string> labels_;
+    std::vector<PicoSeconds> durations_;
+    std::vector<std::uint32_t> resStart_{0}; ///< size N+1
+    std::vector<std::uint32_t> resIds_;
     std::vector<std::uint32_t> depCount_;
+    /** @name Build-only state, released by freeze() */
+    ///@{
+    mutable std::unordered_map<std::string, std::uint32_t, LabelHash,
+                               std::equal_to<>>
+        labelIndex_;
+    /** Dependency edges as (dep, task), in addDep order. */
+    mutable std::vector<std::pair<std::uint32_t, std::uint32_t>> edges_;
+    ///@}
     mutable std::unique_ptr<Frozen> frozen_ =
         std::make_unique<Frozen>();
 };

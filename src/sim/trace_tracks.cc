@@ -50,18 +50,19 @@ traceRun(const TaskGraph &graph, const ExecRecord &record)
     });
     Tracer tracer;
     for (const TaskId id : order) {
-        const Task &task = graph.task(id);
-        tracer.record(task.label, record.start[id], record.end[id],
-                      task.resources.empty() ? SIZE_MAX
-                                             : task.resources.front());
+        const auto resources = graph.resources(id);
+        tracer.record(graph.label(id), record.start[id], record.end[id],
+                      resources.empty() ? SIZE_MAX : resources.front());
     }
 
+    // A task is in flight from its last dependency's end to its own.
     std::vector<std::pair<PicoSeconds, PicoSeconds>> inflight(n);
     for (TaskId id = 0; id < n; ++id)
-        inflight[id] = {0, record.end[id]};
-    for (const auto &[dep, task] : graph.edges())
-        inflight[task].first =
-            std::max(inflight[task].first, record.end[dep]);
+        inflight[id].second = record.end[id];
+    for (TaskId id = 0; id < n; ++id)
+        for (const TaskId succ : graph.successors(id))
+            inflight[succ].first =
+                std::max(inflight[succ].first, record.end[id]);
     recordOccupancy(tracer, inflight, "sim.inflight.tasks");
     return tracer;
 }

@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <map>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "core/api.hh"
 
@@ -261,6 +266,199 @@ TEST(Accelerator, TemplateReplayIsRepeatable)
         EXPECT_EQ(next.iterationTime, first.iterationTime);
         EXPECT_DOUBLE_EQ(next.totalEnergyPj(), first.totalEnergyPj());
     }
+}
+
+/** FNV-1a over the little-endian bytes of every field fed to it. */
+struct Fnv1a {
+    std::uint64_t hash = 14695981039346656037ull;
+
+    void
+    byte(unsigned char b)
+    {
+        hash ^= b;
+        hash *= 1099511628211ull;
+    }
+    void
+    u64(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i)
+            byte(static_cast<unsigned char>(v >> (8 * i)));
+    }
+    void
+    str(const std::string &s)
+    {
+        u64(s.size());
+        for (const char c : s)
+            byte(static_cast<unsigned char>(c));
+    }
+};
+
+/** Digest of everything a template carries: per task its label,
+ *  duration, resources and successors (addDep order), then the
+ *  build-time energies, counter deltas and controller advances. */
+std::uint64_t
+templateDigest(const IterationTemplate &tmpl)
+{
+    const TaskGraph &graph = tmpl.graph;
+    Fnv1a f;
+    f.u64(graph.size());
+    for (TaskId id = 0; id < graph.size(); ++id) {
+        f.str(graph.label(id));
+        f.u64(graph.duration(id));
+        f.u64(graph.resources(id).size());
+        for (const std::uint32_t rid : graph.resources(id))
+            f.u64(rid);
+        f.u64(graph.successors(id).size());
+        for (const std::uint32_t succ : graph.successors(id))
+            f.u64(succ);
+    }
+    f.u64(tmpl.buildEnergy.size());
+    for (const auto &[name, value] : tmpl.buildEnergy) {
+        f.str(name);
+        f.u64(std::bit_cast<std::uint64_t>(value));
+    }
+    f.u64(tmpl.counterDeltas.size());
+    for (const auto &[name, delta] : tmpl.counterDeltas) {
+        f.str(name);
+        f.u64(delta);
+    }
+    f.u64(static_cast<std::uint64_t>(tmpl.controllerAdvances));
+    return f.hash;
+}
+
+TEST(Accelerator, LoweringMatchesPinnedTemplateDigests)
+{
+    // Pins the lowering: any change to a template's tasks, edges,
+    // energies or counters over this grid changes its digest. After an
+    // intended lowering change, regenerate the table with this digest.
+    const std::map<std::string, std::uint64_t> expected = {
+        {"DCGAN prime HTree b1", 0x9a8e6bd7e6926d13ull},
+        {"DCGAN prime HTree b64", 0xec730bac13dc87ebull},
+        {"DCGAN prime ThreeD b1", 0x683bac5ff91e5a6dull},
+        {"DCGAN prime ThreeD b64", 0xfc3e686116a6bf92ull},
+        {"DCGAN low HTree b1", 0x985826ad46971d35ull},
+        {"DCGAN low HTree b64", 0x716cea4072c3fdfdull},
+        {"DCGAN low ThreeD b1", 0x0dfb18ee866e9196ull},
+        {"DCGAN low ThreeD b64", 0x5bff1080d86dee78ull},
+        {"DCGAN high HTree b1", 0x05fd247de2a95077ull},
+        {"DCGAN high HTree b64", 0x0be28da9d075eff0ull},
+        {"DCGAN high ThreeD b1", 0x9a70fbcfa716d8ebull},
+        {"DCGAN high ThreeD b64", 0x053d1397a0ad00f4ull},
+        {"cGAN prime HTree b1", 0x8eaa6bfae1079cbfull},
+        {"cGAN prime HTree b64", 0xd2bd7093e5e242bcull},
+        {"cGAN prime ThreeD b1", 0x7cfe0efe2db63533ull},
+        {"cGAN prime ThreeD b64", 0x3cd7dc2a50e5324eull},
+        {"cGAN low HTree b1", 0x105c156cb3f4d060ull},
+        {"cGAN low HTree b64", 0x574c60660b74eb0aull},
+        {"cGAN low ThreeD b1", 0x075c013054e0ab5cull},
+        {"cGAN low ThreeD b64", 0xc8850352bd9edaf0ull},
+        {"cGAN high HTree b1", 0xc176603a09ebeef0ull},
+        {"cGAN high HTree b64", 0x5cf88c864c275525ull},
+        {"cGAN high ThreeD b1", 0x5d3c35ec1bee9e9dull},
+        {"cGAN high ThreeD b64", 0x62df46282edaefa5ull},
+        {"3D-GAN prime HTree b1", 0x0a78163395c77113ull},
+        {"3D-GAN prime HTree b64", 0x7f9903b748594deaull},
+        {"3D-GAN prime ThreeD b1", 0xeedc83f0fe9e7f6eull},
+        {"3D-GAN prime ThreeD b64", 0x0e9f20e93dbe6aa2ull},
+        {"3D-GAN low HTree b1", 0x7cc402b0068c3903ull},
+        {"3D-GAN low HTree b64", 0x3762d2d34d0e4655ull},
+        {"3D-GAN low ThreeD b1", 0xd63bf56bda73a87dull},
+        {"3D-GAN low ThreeD b64", 0x26ced595c5067f86ull},
+        {"3D-GAN high HTree b1", 0x5e1b48fd4e42ed20ull},
+        {"3D-GAN high HTree b64", 0x776f0c3e5bdc4548ull},
+        {"3D-GAN high ThreeD b1", 0x95cdf02d84cdaa2aull},
+        {"3D-GAN high ThreeD b64", 0x690d7289d9101f30ull},
+        {"ArtGAN-CIFAR-10 prime HTree b1", 0x73d0952b68abac14ull},
+        {"ArtGAN-CIFAR-10 prime HTree b64", 0xa62b801395fca5bfull},
+        {"ArtGAN-CIFAR-10 prime ThreeD b1", 0x10e651cfccd831c9ull},
+        {"ArtGAN-CIFAR-10 prime ThreeD b64", 0x653c6197378d5352ull},
+        {"ArtGAN-CIFAR-10 low HTree b1", 0xabe6cd37e4db63c5ull},
+        {"ArtGAN-CIFAR-10 low HTree b64", 0x5b65bf35841ce74bull},
+        {"ArtGAN-CIFAR-10 low ThreeD b1", 0xa2c9258f0f67b2c6ull},
+        {"ArtGAN-CIFAR-10 low ThreeD b64", 0x61a5022321bf798dull},
+        {"ArtGAN-CIFAR-10 high HTree b1", 0x97d806d79d68b248ull},
+        {"ArtGAN-CIFAR-10 high HTree b64", 0xa15168dbe6b1d052ull},
+        {"ArtGAN-CIFAR-10 high ThreeD b1", 0xb2509ddfe4d0ada4ull},
+        {"ArtGAN-CIFAR-10 high ThreeD b64", 0x3c055bbde70ea754ull},
+        {"GPGAN prime HTree b1", 0xef45bfcbcecc2633ull},
+        {"GPGAN prime HTree b64", 0xae5fe51cf24d651aull},
+        {"GPGAN prime ThreeD b1", 0xfad80d6278c50b0dull},
+        {"GPGAN prime ThreeD b64", 0xffdb7b01292d7d18ull},
+        {"GPGAN low HTree b1", 0xff09ee18b5d0ef5eull},
+        {"GPGAN low HTree b64", 0x023e23f3fbb0c596ull},
+        {"GPGAN low ThreeD b1", 0x79f8868264a0d6bdull},
+        {"GPGAN low ThreeD b64", 0x2a532c2af894bf5eull},
+        {"GPGAN high HTree b1", 0xe1fcf274a5b160d1ull},
+        {"GPGAN high HTree b64", 0x52a5ac6087b616b2ull},
+        {"GPGAN high ThreeD b1", 0xcec90348cf3643f0ull},
+        {"GPGAN high ThreeD b64", 0xddc3b4320fbe6913ull},
+        {"MAGAN-MNIST prime HTree b1", 0x9c4d0d3331fda317ull},
+        {"MAGAN-MNIST prime HTree b64", 0x28315d87219a395full},
+        {"MAGAN-MNIST prime ThreeD b1", 0xd3112ec10459c427ull},
+        {"MAGAN-MNIST prime ThreeD b64", 0xddbb01386e54335eull},
+        {"MAGAN-MNIST low HTree b1", 0x3a553efaa18c4531ull},
+        {"MAGAN-MNIST low HTree b64", 0x58fff0ecb7393777ull},
+        {"MAGAN-MNIST low ThreeD b1", 0x31a0c23856563aa6ull},
+        {"MAGAN-MNIST low ThreeD b64", 0xca1f5fac0d40b03cull},
+        {"MAGAN-MNIST high HTree b1", 0x9d3fefc9f865ce7full},
+        {"MAGAN-MNIST high HTree b64", 0x02dc91f4c48f9480ull},
+        {"MAGAN-MNIST high ThreeD b1", 0x2f41753653b28e16ull},
+        {"MAGAN-MNIST high ThreeD b64", 0x33a30b6276c41019ull},
+        {"DiscoGAN-4pairs prime HTree b1", 0x8b524f63b26915b0ull},
+        {"DiscoGAN-4pairs prime HTree b64", 0xadcafc38c05d8eabull},
+        {"DiscoGAN-4pairs prime ThreeD b1", 0x94637145b35af3e9ull},
+        {"DiscoGAN-4pairs prime ThreeD b64", 0x9409411996b190b0ull},
+        {"DiscoGAN-4pairs low HTree b1", 0x16004875ace35b26ull},
+        {"DiscoGAN-4pairs low HTree b64", 0x93383486c127e98full},
+        {"DiscoGAN-4pairs low ThreeD b1", 0x1815dab0768c03f5ull},
+        {"DiscoGAN-4pairs low ThreeD b64", 0x7cc52ad756457755ull},
+        {"DiscoGAN-4pairs high HTree b1", 0x0afa9b312bbfcc11ull},
+        {"DiscoGAN-4pairs high HTree b64", 0xcf6cd93ec455c76cull},
+        {"DiscoGAN-4pairs high ThreeD b1", 0x72eb9d3247a4be71ull},
+        {"DiscoGAN-4pairs high ThreeD b64", 0xd99ea7f7d051c32bull},
+        {"DiscoGAN-5pairs prime HTree b1", 0x540b8088bb13ed74ull},
+        {"DiscoGAN-5pairs prime HTree b64", 0xc4bba01ff5f11ebaull},
+        {"DiscoGAN-5pairs prime ThreeD b1", 0x8715d1ac2097526dull},
+        {"DiscoGAN-5pairs prime ThreeD b64", 0xa3c85c384b534338ull},
+        {"DiscoGAN-5pairs low HTree b1", 0x4c5a444fe1b1bfd7ull},
+        {"DiscoGAN-5pairs low HTree b64", 0x90d59b9abba8d92aull},
+        {"DiscoGAN-5pairs low ThreeD b1", 0x0c3b0c281bd16b60ull},
+        {"DiscoGAN-5pairs low ThreeD b64", 0x947834fd27cf1081ull},
+        {"DiscoGAN-5pairs high HTree b1", 0xfd138d309600f047ull},
+        {"DiscoGAN-5pairs high HTree b64", 0x44968b9e482acf45ull},
+        {"DiscoGAN-5pairs high ThreeD b1", 0x85d3f8b8c884e9b9ull},
+        {"DiscoGAN-5pairs high ThreeD b64", 0x7730ed033edf5adbull},
+    };
+    const std::pair<const char *, AcceleratorConfig> configs[] = {
+        {"prime", AcceleratorConfig::prime()},
+        {"low", AcceleratorConfig::lerGan(ReplicaDegree::Low)},
+        {"high", AcceleratorConfig::lerGan(ReplicaDegree::High)},
+    };
+    std::size_t checked = 0;
+    for (const std::string &name : benchmarkNames()) {
+        const GanModel model = makeBenchmark(name);
+        for (const auto &[label, base] : configs) {
+            for (Connection conn : {Connection::HTree, Connection::ThreeD}) {
+                for (int batch : {1, 64}) {
+                    AcceleratorConfig config = base;
+                    config.connection = conn;
+                    config.batchSize = batch;
+                    const std::string key =
+                        name + " " + label + " " +
+                        (conn == Connection::HTree ? "HTree" : "ThreeD") +
+                        " b" + std::to_string(batch);
+                    LerGanAccelerator acc(model, config);
+                    const auto digest =
+                        templateDigest(*acc.makeIterationTemplate());
+                    const auto pinned = expected.find(key);
+                    ASSERT_NE(pinned, expected.end()) << key;
+                    EXPECT_EQ(digest, pinned->second) << key;
+                    ++checked;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(checked, expected.size());
 }
 
 TEST(Accelerator, AllBenchmarksRunOnAllConnections)

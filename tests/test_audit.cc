@@ -194,9 +194,9 @@ TEST(Audit, TaskOnAKilledTileIsCaught)
     const Machine machine(run.config);
     std::set<std::size_t> used;
     for (TaskId id = 0; id < run.tmpl->graph.size(); ++id) {
-        const Task &task = run.tmpl->graph.task(id);
-        if (!task.resources.empty())
-            used.insert(task.resources.front());
+        const auto resources = run.tmpl->graph.resources(id);
+        if (!resources.empty())
+            used.insert(resources.front());
     }
     std::optional<std::pair<int, int>> victim;
     for (int bank = 0; bank < 6 * run.config.cuPairs && !victim; ++bank)

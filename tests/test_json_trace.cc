@@ -62,8 +62,8 @@ TEST(Trace, RecordsTaskIntervals)
     ResourcePool pool;
     const auto r = pool.create("unit");
     TaskGraph graph;
-    const TaskId a = graph.addTask({"first", {r}, 10});
-    const TaskId b = graph.addTask({"second", {r}, 5});
+    const TaskId a = graph.addTask("first", {r}, 10);
+    const TaskId b = graph.addTask("second", {r}, 5);
     graph.addDep(b, a);
 
     ExecRecord record;
@@ -82,7 +82,7 @@ TEST(Trace, NullTracerIsFine)
 {
     ResourcePool pool;
     TaskGraph graph;
-    graph.addTask({"t", {}, 1});
+    graph.addTask("t", {}, 1);
     EXPECT_EQ(graph.execute(pool).makespan, 1u);
 }
 
@@ -145,8 +145,8 @@ TEST(Trace, InflightTrackIsRebuiltFromTheRecord)
     ResourcePool pool;
     const auto r = pool.create("unit");
     TaskGraph graph;
-    const TaskId a = graph.addTask({"first", {r}, 10});
-    const TaskId b = graph.addTask({"second", {r}, 5});
+    const TaskId a = graph.addTask("first", {r}, 10);
+    const TaskId b = graph.addTask("second", {r}, 5);
     graph.addDep(b, a);
 
     ExecRecord record;

@@ -21,9 +21,9 @@ struct Recorded {
     ExecRecord record;
 
     void
-    add(std::string label, PicoSeconds start, PicoSeconds end)
+    add(const std::string &label, PicoSeconds start, PicoSeconds end)
     {
-        graph.addTask({std::move(label), {}, end - start});
+        graph.addTask(label, {}, end - start);
         record.start.push_back(start);
         record.end.push_back(end);
         record.makespan = std::max(record.makespan, end);

@@ -54,7 +54,7 @@ makeRandomDag(std::uint64_t seed)
             if (rng.nextBounded(4) != 0)
                 resources.push_back(rng.nextBounded(num_resources));
             const TaskId id =
-                dag.graph.addTask({"t", resources, duration});
+                dag.graph.addTask("t", resources, duration);
             dag.durations.push_back(duration);
             dag.deps.emplace_back();
             if (layer > 0) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "sim/calendar_queue.hh"
@@ -155,8 +156,8 @@ TEST(TaskGraph, ChainRespectsDependencies)
     ResourcePool pool;
     const auto r = pool.create("unit");
     TaskGraph graph;
-    const TaskId a = graph.addTask({"a", {r}, 10});
-    const TaskId b = graph.addTask({"b", {r}, 20});
+    const TaskId a = graph.addTask("a", {r}, 10);
+    const TaskId b = graph.addTask("b", {r}, 20);
     graph.addDep(b, a);
     ExecRecord record;
     const ExecResult result =
@@ -173,7 +174,7 @@ TEST(TaskGraph, IndependentTasksContendOnSharedResource)
     const auto r = pool.create("unit");
     TaskGraph graph;
     for (int i = 0; i < 4; ++i)
-        graph.addTask({"t", {r}, 10});
+        graph.addTask("t", {r}, 10);
     const ExecResult result = graph.execute(pool);
     EXPECT_EQ(result.makespan, 40u); // serialized on one resource
 }
@@ -184,7 +185,7 @@ TEST(TaskGraph, IndependentTasksOnDistinctResourcesOverlap)
     TaskGraph graph;
     for (int i = 0; i < 4; ++i) {
         const auto r = pool.create("unit" + std::to_string(i));
-        graph.addTask({"t", {r}, 10});
+        graph.addTask("t", {r}, 10);
     }
     EXPECT_EQ(graph.execute(pool).makespan, 10u);
 }
@@ -197,8 +198,8 @@ TEST(TaskGraph, PipelineOverlapsStages)
     const auto s2 = pool.create("stage2");
     TaskGraph graph;
     for (int item = 0; item < 3; ++item) {
-        const TaskId a = graph.addTask({"s1", {s1}, 10});
-        const TaskId b = graph.addTask({"s2", {s2}, 10});
+        const TaskId a = graph.addTask("s1", {s1}, 10);
+        const TaskId b = graph.addTask("s2", {s2}, 10);
         graph.addDep(b, a);
     }
     EXPECT_EQ(graph.execute(pool).makespan, 40u);
@@ -210,9 +211,9 @@ TEST(TaskGraph, MultiResourceTaskHoldsAll)
     const auto r1 = pool.create("r1");
     const auto r2 = pool.create("r2");
     TaskGraph graph;
-    graph.addTask({"uses r1", {r1}, 10});
-    graph.addTask({"uses both", {r1, r2}, 10});
-    graph.addTask({"uses r2", {r2}, 10});
+    graph.addTask("uses r1", {r1}, 10);
+    graph.addTask("uses both", {r1, r2}, 10);
+    graph.addTask("uses r2", {r2}, 10);
     const ExecResult result = graph.execute(pool);
     // The both-task starts after r1 frees; the r2-task waits for it.
     EXPECT_EQ(result.makespan, 30u);
@@ -223,9 +224,9 @@ TEST(TaskGraph, ZeroDurationBarrier)
     ResourcePool pool;
     const auto r = pool.create("r");
     TaskGraph graph;
-    const TaskId a = graph.addTask({"a", {r}, 15});
-    const TaskId barrier = graph.addTask({"barrier", {}, 0});
-    const TaskId b = graph.addTask({"b", {r}, 5});
+    const TaskId a = graph.addTask("a", {r}, 15);
+    const TaskId barrier = graph.addTask("barrier", {}, 0);
+    const TaskId b = graph.addTask("b", {r}, 5);
     graph.addDep(barrier, a);
     graph.addDep(b, barrier);
     ExecRecord record;
@@ -240,7 +241,7 @@ TEST(TaskGraph, ReexecutableAfterPoolReset)
     ResourcePool pool;
     const auto r = pool.create("r");
     TaskGraph graph;
-    graph.addTask({"a", {r}, 10});
+    graph.addTask("a", {r}, 10);
     EXPECT_EQ(graph.execute(pool).makespan, 10u);
     pool.resetAll();
     EXPECT_EQ(graph.execute(pool).makespan, 10u);
@@ -252,9 +253,9 @@ TEST(TaskGraph, ScratchReuseMatchesFreshExecution)
     const auto r0 = pool.create("r0");
     const auto r1 = pool.create("r1");
     TaskGraph graph;
-    const TaskId a = graph.addTask({"a", {r0}, 10});
-    const TaskId b = graph.addTask({"b", {r1}, 20});
-    const TaskId c = graph.addTask({"c", {r0, r1}, 5});
+    const TaskId a = graph.addTask("a", {r0}, 10);
+    const TaskId b = graph.addTask("b", {r1}, 20);
+    const TaskId c = graph.addTask("c", {r0, r1}, 5);
     graph.addDep(c, a);
     graph.addDep(c, b);
 
@@ -280,7 +281,7 @@ TEST(TaskGraph, MovableAcrossBuildAndExecute)
     ResourcePool pool;
     const auto r = pool.create("r");
     TaskGraph built;
-    built.addTask({"a", {r}, 7});
+    built.addTask("a", {r}, 7);
     TaskGraph moved = std::move(built);
     EXPECT_EQ(moved.execute(pool).makespan, 7u);
 
@@ -289,12 +290,107 @@ TEST(TaskGraph, MovableAcrossBuildAndExecute)
     EXPECT_EQ(again.execute(pool).makespan, 7u);
 }
 
+TEST(TaskGraph, SuccessorsKeepAddDepOrderIncludingDuplicates)
+{
+    ResourcePool pool;
+    TaskGraph graph;
+    const TaskId a = graph.addTask("a", {}, 1);
+    const TaskId b = graph.addTask("b", {}, 1);
+    const TaskId c = graph.addTask("c", {}, 1);
+    const TaskId d = graph.addTask("d", {}, 1);
+    graph.addDep(c, a);
+    graph.addDep(b, a);
+    graph.addDep(d, c);
+    graph.addDep(d, a);
+    graph.addDep(b, a); // duplicated edge: kept, and counted twice
+    const auto succ = [&](TaskId id) {
+        const auto list = graph.successors(id);
+        return std::vector<TaskId>(list.begin(), list.end());
+    };
+    EXPECT_EQ(succ(a), (std::vector<TaskId>{c, b, d, b}));
+    EXPECT_EQ(succ(b), std::vector<TaskId>{});
+    EXPECT_EQ(succ(c), std::vector<TaskId>{d});
+    EXPECT_EQ(succ(d), std::vector<TaskId>{});
+    EXPECT_EQ(graph.dependencyCounts()[b], 2u);
+    EXPECT_EQ(graph.execute(pool).makespan, 3u);
+}
+
+TEST(TaskGraph, ResourceSlotsIndexTheRecordedReservations)
+{
+    ResourcePool pool;
+    const auto r0 = pool.create("r0");
+    const auto r1 = pool.create("r1");
+    const auto r2 = pool.create("r2");
+    TaskGraph graph;
+    const TaskId x = graph.addTask("x", {r0}, 10);
+    const TaskId y = graph.addTask("y", {r1, r0, r2}, 10);
+    const TaskId z = graph.addTask("z", {r2, r1}, 10);
+    ExecRecord record;
+    graph.execute(pool, nullptr, nullptr, &record);
+    ASSERT_EQ(record.resPrev.size(), 6u);
+
+    // Slot j of a task holds its j-th resource; the executor writes
+    // that reservation's previous holder there.
+    const auto prevs = [&](TaskId id) {
+        const auto slots = graph.resourceSlots(id);
+        EXPECT_EQ(slots.size(), graph.resources(id).size());
+        std::vector<TaskId> out;
+        for (const std::uint32_t slot : slots)
+            out.push_back(record.resPrev[slot]);
+        return out;
+    };
+    EXPECT_EQ(*graph.resourceSlots(x).begin(), 0u);
+    EXPECT_EQ(*graph.resourceSlots(y).begin(), 1u);
+    EXPECT_EQ(*graph.resourceSlots(z).begin(), 4u);
+    EXPECT_EQ(graph.resources(y)[1], r0);
+    EXPECT_EQ(prevs(x), std::vector<TaskId>{kNoTask});
+    EXPECT_EQ(prevs(y), (std::vector<TaskId>{kNoTask, x, kNoTask}));
+    EXPECT_EQ(prevs(z), (std::vector<TaskId>{y, y}));
+}
+
+TEST(TaskGraph, EqualLabelsShareOneLabelId)
+{
+    TaskGraph graph;
+    const std::string dynamic = std::string("a");
+    const TaskId a0 = graph.addTask("a", {}, 1);
+    const TaskId b0 = graph.addTask("b", {}, 1);
+    const TaskId a1 = graph.addTask(dynamic, {}, 2);
+    const TaskId c0 = graph.addTask("c", {}, 1);
+    const TaskId b1 = graph.addTask("b", {}, 3);
+    EXPECT_EQ(graph.labelId(a0), graph.labelId(a1));
+    EXPECT_EQ(graph.labelId(b0), graph.labelId(b1));
+    EXPECT_NE(graph.labelId(a0), graph.labelId(c0));
+    EXPECT_EQ(graph.labels(), (std::vector<std::string>{"a", "b", "c"}));
+    EXPECT_EQ(graph.label(a1), "a");
+    EXPECT_EQ(graph.label(b1), "b");
+    EXPECT_EQ(graph.duration(b1), 3u);
+}
+
+TEST(TaskGraphDeath, AddTaskAfterExecuteIsABug)
+{
+    ResourcePool pool;
+    TaskGraph graph;
+    graph.addTask("a", {}, 1);
+    graph.execute(pool);
+    EXPECT_DEATH(graph.addTask("late", {}, 1), "addTask after");
+}
+
+TEST(TaskGraphDeath, AddDepAfterExecuteIsABug)
+{
+    ResourcePool pool;
+    TaskGraph graph;
+    const TaskId a = graph.addTask("a", {}, 1);
+    const TaskId b = graph.addTask("b", {}, 1);
+    graph.execute(pool);
+    EXPECT_DEATH(graph.addDep(b, a), "addDep after");
+}
+
 TEST(TaskGraphDeath, CycleIsDetected)
 {
     ResourcePool pool;
     TaskGraph graph;
-    const TaskId a = graph.addTask({"a", {}, 1});
-    const TaskId b = graph.addTask({"b", {}, 1});
+    const TaskId a = graph.addTask("a", {}, 1);
+    const TaskId b = graph.addTask("b", {}, 1);
     graph.addDep(a, b);
     graph.addDep(b, a);
     EXPECT_DEATH(graph.execute(pool), "cycle");

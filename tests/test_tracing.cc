@@ -309,17 +309,6 @@ TEST(TracedEngine, FailedPointCapturesItsSpanDump)
         EXPECT_FALSE(recorder.collectTrace(trace).empty());
 }
 
-TEST(TracedEngine, TraceIdMapperOverridesTheDefault)
-{
-    FlightRecorder recorder;
-    runPoints(
-        2, 1, [](std::size_t, std::size_t) {}, {}, nullptr, &recorder,
-        [](std::size_t k) { return static_cast<TraceId>(100 + k); });
-    EXPECT_FALSE(recorder.collectTrace(100).empty());
-    EXPECT_FALSE(recorder.collectTrace(101).empty());
-    EXPECT_TRUE(recorder.collectTrace(1).empty());
-}
-
 ExperimentSweep
 tracedSweep()
 {
