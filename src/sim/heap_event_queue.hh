@@ -10,7 +10,9 @@
  * assert identical firing sequences. It therefore has the calendar
  * queue's surface — scheduleAt/cancel/pop(Payload &)/reset over the
  * same payload type — and nothing more. Cancellation works the same
- * way too: a per-id state mark plus a pop-time skip.
+ * way too: a per-id state mark plus a pop-time skip. Lanes only change
+ * where the calendar queue keeps an event, never when it fires, so the
+ * heap checks the lane precondition and otherwise ignores the lane.
  */
 
 #ifndef LERGAN_SIM_HEAP_EVENT_QUEUE_HH
@@ -55,6 +57,22 @@ class HeapEventQueue
         return id;
     }
 
+    /**
+     * scheduleAt() on lane @p lane: @pre lane < the count given to
+     * reset(), and @p when is no earlier than the lane's last event.
+     */
+    EventId
+    scheduleAt(PicoSeconds when, Payload payload, std::size_t lane)
+    {
+        LERGAN_ASSERT(lane < laneTails_.size(), "event lane ", lane,
+                      " out of range (", laneTails_.size(), " lanes)");
+        LERGAN_ASSERT(when >= laneTails_[lane], "event scheduled on lane ",
+                      lane, " before the lane's tail: ", when, " < ",
+                      laneTails_[lane]);
+        laneTails_[lane] = when;
+        return scheduleAt(when, std::move(payload));
+    }
+
     /** Cancel a pending event; @return true when it was pending. */
     bool
     cancel(EventId id)
@@ -88,10 +106,12 @@ class HeapEventQueue
         return false;
     }
 
-    /** Drop all pending events and reset time and ids to zero. */
+    /** Drop all pending events, reset time and ids to zero and provide
+     *  @p lanes empty lanes. */
     void
-    reset()
+    reset(std::size_t lanes = 0)
     {
+        laneTails_.assign(lanes, 0);
         events_.clear();
         states_.clear();
         live_ = 0;
@@ -118,6 +138,7 @@ class HeapEventQueue
 
     std::vector<Entry> events_;
     std::vector<State> states_;
+    std::vector<PicoSeconds> laneTails_; ///< latest when per lane
     std::size_t live_ = 0;
     PicoSeconds now_ = 0;
 };

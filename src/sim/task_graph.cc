@@ -85,7 +85,8 @@ TaskGraph::execute(ResourcePool &pool, MetricsRegistry *metrics,
 
     ExecScratch local;
     ExecScratch &s = scratch ? *scratch : local;
-    s.queue.reset();
+    // One lane per resource: completions on a task's first resource.
+    s.queue.reset(pool.size());
     s.unmet.assign(depCount_.begin(), depCount_.end());
     s.ready.assign(n, 0);
     if (record) {
@@ -191,7 +192,13 @@ TaskGraph::execute(ResourcePool &pool, MetricsRegistry *metrics,
                               label(id));
             }
             const PicoSeconds end = start + durations[id];
-            s.queue.scheduleAt(end, TaskEvent{id, true});
+            // The first resource's FIFO reservations end in the order
+            // they were made, so its completions form a sorted lane.
+            if (resBegin != resEnd)
+                s.queue.scheduleAt(end, TaskEvent{id, true},
+                                   resIds[resBegin]);
+            else
+                s.queue.scheduleAt(end, TaskEvent{id, true});
             --readyCount;
             ++inflight;
             if (metrics)

@@ -84,6 +84,11 @@ struct TaskEvent {
  * Optional: execute() allocates its own when none is given. Passing the
  * same scratch to repeated executions (of any graphs) reuses the event
  * calendar and counter buffers, eliminating steady-state allocation.
+ * The calendar is reset to one lane per pool resource each run: a
+ * completion waits in its task's first resource's lane, so the lane
+ * rings grow to the peak number of reservations pending per resource,
+ * and the calendar itself holds about one event per busy resource
+ * however large the batch.
  * A scratch must not be shared between concurrent executions.
  */
 class ExecScratch

@@ -35,8 +35,16 @@ struct RandomDag {
     std::vector<std::vector<TaskId>> deps; // deps[task] = prerequisite ids
 };
 
+/**
+ * Build a random layered DAG from @p seed. With @p extended, tasks may
+ * also be zero-duration or hold up to three resources, and the middle
+ * layer hangs off a zero-duration barrier that depends on the whole
+ * previous layer: twice the usual width released at one instant, the
+ * executor's controller fan-out in miniature. Without it the draws are
+ * exactly the plain generator's.
+ */
 RandomDag
-makeRandomDag(std::uint64_t seed)
+makeRandomDag(std::uint64_t seed, bool extended = false)
 {
     RandomDag dag;
     Rng rng(seed);
@@ -44,30 +52,54 @@ makeRandomDag(std::uint64_t seed)
     for (int r = 0; r < num_resources; ++r)
         dag.pool.create("res" + std::to_string(r));
 
+    auto add = [&](PicoSeconds duration,
+                   const std::vector<std::size_t> &resources) {
+        const TaskId id = dag.graph.addTask("t", resources, duration);
+        dag.durations.push_back(duration);
+        dag.deps.emplace_back();
+        return id;
+    };
+    auto depend = [&](TaskId id, TaskId dep) {
+        dag.graph.addDep(id, dep);
+        dag.deps[id].push_back(dep);
+    };
+
     const int num_layers = 2 + static_cast<int>(rng.nextBounded(5));
     for (int layer = 0; layer < num_layers; ++layer) {
         std::vector<TaskId> row;
-        const int width = 1 + static_cast<int>(rng.nextBounded(6));
+        int width = 1 + static_cast<int>(rng.nextBounded(6));
+        TaskId barrier = kNoTask;
+        if (extended && layer == num_layers / 2) {
+            barrier = add(0, {});
+            for (TaskId dep : dag.layers[layer - 1])
+                depend(barrier, dep);
+            width *= 2;
+        }
         for (int i = 0; i < width; ++i) {
-            const PicoSeconds duration = 1 + rng.nextBounded(50);
+            PicoSeconds duration = 1 + rng.nextBounded(50);
+            if (extended && rng.nextBounded(6) == 0)
+                duration = 0;
             std::vector<std::size_t> resources;
-            if (rng.nextBounded(4) != 0)
-                resources.push_back(rng.nextBounded(num_resources));
-            const TaskId id =
-                dag.graph.addTask("t", resources, duration);
-            dag.durations.push_back(duration);
-            dag.deps.emplace_back();
-            if (layer > 0) {
+            if (rng.nextBounded(4) != 0) {
+                const std::uint64_t held =
+                    extended ? 1 + rng.nextBounded(3) : 1;
+                for (std::uint64_t k = 0; k < held; ++k) {
+                    const std::size_t r = rng.nextBounded(num_resources);
+                    if (std::find(resources.begin(), resources.end(), r) ==
+                        resources.end())
+                        resources.push_back(r);
+                }
+            }
+            const TaskId id = add(duration, resources);
+            if (barrier != kNoTask) {
+                depend(id, barrier);
+            } else if (layer > 0) {
                 // Each task depends on 1..3 tasks of the previous layer.
                 const auto &prev = dag.layers[layer - 1];
                 const int fanin =
                     1 + static_cast<int>(rng.nextBounded(3));
-                for (int d = 0; d < fanin; ++d) {
-                    const TaskId dep =
-                        prev[rng.nextBounded(prev.size())];
-                    dag.graph.addDep(id, dep);
-                    dag.deps[id].push_back(dep);
-                }
+                for (int d = 0; d < fanin; ++d)
+                    depend(id, prev[rng.nextBounded(prev.size())]);
             }
             row.push_back(id);
         }
@@ -166,6 +198,119 @@ TEST_P(RandomDagProperty, RebuiltInflightTrackCountsFiredTasks)
     }
 }
 
+/**
+ * Reference executor: TaskGraph::execute()'s fire/complete loop and
+ * binding rule, run on the reference heap with no lanes, filling
+ * @p record. @return the makespan.
+ */
+PicoSeconds
+referenceExecute(const TaskGraph &graph, ResourcePool &pool,
+                 ExecRecord &record)
+{
+    const std::size_t n = graph.size();
+    sim::HeapEventQueue<TaskEvent> queue;
+    const auto counts = graph.dependencyCounts();
+    std::vector<std::uint32_t> unmet(counts.begin(), counts.end());
+    std::vector<PicoSeconds> ready(n, 0);
+    std::vector<TaskId> bindingDep(n, kNoTask);
+    std::vector<TaskId> lastHolder(pool.size(), kNoTask);
+    record = ExecRecord{};
+    record.start.resize(n);
+    record.end.resize(n);
+    record.bindingPred.resize(n);
+    record.bindingKind.resize(n);
+    record.bindingRes.resize(n);
+    std::size_t slots = 0;
+    for (TaskId id = 0; id < n; ++id)
+        slots += graph.resources(id).size();
+    record.resPrev.resize(slots);
+
+    for (TaskId id = 0; id < n; ++id)
+        if (unmet[id] == 0)
+            queue.scheduleAt(0, TaskEvent{id, false});
+    TaskEvent event;
+    while (queue.pop(event)) {
+        const TaskId id = event.task;
+        const PicoSeconds now = queue.now();
+        if (!event.complete) {
+            PicoSeconds start = now;
+            std::uint32_t bindSlot = ExecRecord::kNoResource;
+            std::uint32_t bindRes = ExecRecord::kNoResource;
+            const auto resources = graph.resources(id);
+            const auto slots = graph.resourceSlots(id);
+            for (std::size_t j = 0; j < resources.size(); ++j) {
+                const std::uint32_t rid = resources[j];
+                const std::uint32_t slot = slots[j];
+                record.resPrev[slot] = lastHolder[rid];
+                lastHolder[rid] = id;
+                if (pool[rid].nextFree() > start) {
+                    start = pool[rid].nextFree();
+                    bindSlot = slot;
+                    bindRes = rid;
+                }
+            }
+            record.start[id] = start;
+            if (bindSlot != ExecRecord::kNoResource) {
+                record.bindingKind[id] = BindingKind::Resource;
+                record.bindingPred[id] = record.resPrev[bindSlot];
+            } else if (bindingDep[id] != kNoTask) {
+                record.bindingKind[id] = BindingKind::Dependency;
+                record.bindingPred[id] = bindingDep[id];
+            } else {
+                record.bindingKind[id] = BindingKind::None;
+                record.bindingPred[id] = kNoTask;
+            }
+            record.bindingRes[id] = bindRes;
+            for (const std::uint32_t rid : resources)
+                pool[rid].reserve(start, graph.duration(id));
+            queue.scheduleAt(start + graph.duration(id),
+                             TaskEvent{id, true});
+        } else {
+            record.end[id] = now;
+            record.completionOrder.push_back(id);
+            if (now >= record.makespan) {
+                record.makespan = now;
+                record.lastTask = id;
+            }
+            for (const std::uint32_t succ : graph.successors(id)) {
+                if (now >= ready[succ]) {
+                    ready[succ] = now;
+                    bindingDep[succ] = id;
+                }
+                if (--unmet[succ] == 0)
+                    queue.scheduleAt(ready[succ], TaskEvent{succ, false});
+            }
+        }
+    }
+    return record.makespan;
+}
+
+TEST_P(RandomDagProperty, ExecutorMatchesHeapReference)
+{
+    // The executor (calendar queue, completions on resource lanes)
+    // against the reference loop on the plain heap: same makespan and
+    // the same execution record, field by field.
+    RandomDag dag = makeRandomDag(GetParam() * 104729 + 5, true);
+    ExecRecord got;
+    const ExecResult result =
+        dag.graph.execute(dag.pool, nullptr, nullptr, &got);
+    dag.pool.resetAll();
+    ExecRecord want;
+    const PicoSeconds makespan =
+        referenceExecute(dag.graph, dag.pool, want);
+
+    EXPECT_EQ(result.makespan, makespan);
+    EXPECT_EQ(got.makespan, want.makespan);
+    EXPECT_EQ(got.lastTask, want.lastTask);
+    EXPECT_EQ(got.start, want.start);
+    EXPECT_EQ(got.end, want.end);
+    EXPECT_EQ(got.bindingPred, want.bindingPred);
+    EXPECT_EQ(got.bindingKind, want.bindingKind);
+    EXPECT_EQ(got.bindingRes, want.bindingRes);
+    EXPECT_EQ(got.resPrev, want.resPrev);
+    EXPECT_EQ(got.completionOrder, want.completionOrder);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomDagProperty, testing::Range(0, 24));
 
 // ---------------------------------------------------------------------
@@ -205,6 +350,15 @@ struct QueueScenario {
     Offsets offsets = Offsets::Uniform;
     /** Stop after this many firings, leaving the rest pending. */
     std::size_t stopAfter = SIZE_MAX;
+    /**
+     * Lane mode when nonzero: a quarter of the schedules go on one of
+     * this many lanes (the queues must be reset() to as many), each a
+     * step of [0, laneStep) past the later of now and the lane's tail,
+     * a quarter of them exactly at it (equal-time runs); an eighth of
+     * them are cancelled at once, lane heads and buffered entries
+     * alike.
+     */
+    std::size_t lanes = 0;
 };
 
 /** Payload carrying event id @p id: the tag itself, or an executor
@@ -237,9 +391,26 @@ runScenario(Queue<Payload> &queue, const QueueScenario &s)
     using Offsets = QueueScenario::Offsets;
     std::vector<std::uint64_t> order;
     std::size_t scheduled = 0;
-    auto schedule = [&](PicoSeconds when) {
-        queue.scheduleAt(when, payloadFor<Payload>(scheduled));
-        ++scheduled;
+    // Lane steps sized so the preload spreads each lane over most of
+    // the horizon.
+    std::vector<PicoSeconds> laneTail(s.lanes, 0);
+    const PicoSeconds laneStep = std::max<PicoSeconds>(
+        1, 8 * s.horizon * s.lanes / std::max<std::size_t>(1, s.initial));
+    // Draws lane choices from @p draw only in lane mode, so the other
+    // scenarios keep their exact operation sequences.
+    auto schedule = [&](PicoSeconds when, Rng &draw) {
+        const std::uint64_t id = scheduled++;
+        if (s.lanes == 0 || draw.nextBounded(4) != 0) {
+            queue.scheduleAt(when, payloadFor<Payload>(id));
+            return;
+        }
+        const std::size_t lane = draw.nextBounded(s.lanes);
+        PicoSeconds &tail = laneTail[lane];
+        tail = std::max(queue.now(), tail) +
+               (draw.nextBounded(4) == 0 ? 0 : draw.nextBounded(laneStep));
+        queue.scheduleAt(tail, payloadFor<Payload>(id), lane);
+        if (draw.nextBounded(8) == 0)
+            queue.cancel(id);
     };
 
     Rng rng(s.seed);
@@ -247,7 +418,8 @@ runScenario(Queue<Payload> &queue, const QueueScenario &s)
         // Deep preloads land on 4096 distinct instants: ~32-way ties.
         schedule(s.offsets == Offsets::Deep
                      ? rng.nextBounded(4096) * (s.horizon / 4096)
-                     : rng.nextBounded(s.horizon));
+                     : rng.nextBounded(s.horizon),
+                 rng);
     }
 
     Payload event{};
@@ -274,7 +446,7 @@ runScenario(Queue<Payload> &queue, const QueueScenario &s)
                              : s.horizon + follow.nextBounded(s.horizon);
                 break;
             }
-            schedule(queue.now() + offset);
+            schedule(queue.now() + offset, follow);
             if (s.offsets == Offsets::Deep && follow.nextBounded(8) == 0)
                 queue.cancel(scheduled - 1);
         }
@@ -311,6 +483,8 @@ expectMatchesHeap(const QueueScenario &s)
 {
     sim::CalendarQueue<Payload> calendar;
     sim::HeapEventQueue<Payload> heap;
+    calendar.reset(s.lanes);
+    heap.reset(s.lanes);
     expectMatchesHeap(calendar, heap, s);
 }
 
@@ -461,6 +635,89 @@ TEST(CalendarQueueProperty, BoundaryHeavySeededScenarioMatchesHeap)
     for (const std::uint64_t seed : {UINT64_C(3), UINT64_C(777)})
         expectMatchesHeap({seed, 30'000, 40'000, 600,
                            QueueScenario::Offsets::Boundary});
+}
+
+TEST(CalendarQueueProperty, LanedScenariosMatchHeap)
+{
+    // Lane mode over every offset regime and lane count 1 (one long
+    // run), 7 and 64: lane heads promote into near and far with old
+    // seqs, equal-time lane runs tie with FIFO and near events, and
+    // cancelled heads and buffered entries are skipped.
+    using Offsets = QueueScenario::Offsets;
+    for (const std::size_t lanes : {1, 7, 64}) {
+        expectMatchesHeap({UINT64_C(11) + lanes, 40'000, 70'000,
+                           1'000'000, Offsets::Uniform, SIZE_MAX,
+                           lanes});
+        expectMatchesHeap({UINT64_C(12) + lanes, 20'000, 30'000, 600,
+                           Offsets::Boundary, SIZE_MAX, lanes});
+        expectMatchesHeap({UINT64_C(13) + lanes, 30'000, 50'000,
+                           1ULL << 30, Offsets::Deep, SIZE_MAX, lanes});
+    }
+}
+
+/**
+ * Drive @p queue through an 8,192-event fan-out at one instant t: while
+ * the first event at t fires, events scheduled earlier for t are still
+ * pending (plain ones in near, and equal-time runs on 16 lanes whose
+ * buffered entries promote with older seqs than the fan-out), and the
+ * fan-out mixes plain events, events on 16 idle lanes and immediate
+ * cancels. @return the fired tags in firing order.
+ */
+template <template <typename> class Queue>
+std::vector<std::uint64_t>
+runFanOut(Queue<std::uint64_t> &queue)
+{
+    constexpr std::size_t kBusyLanes = 16;
+    constexpr std::size_t kIdleLanes = 16;
+    constexpr PicoSeconds kT = 1'000;
+    constexpr std::uint64_t kFanOut = 8'192;
+    queue.reset(kBusyLanes + kIdleLanes);
+    std::uint64_t next = 0;
+    for (PicoSeconds when = 0; when < kT; when += 125)
+        queue.scheduleAt(when, next++);
+    const std::uint64_t trigger = next;
+    for (int i = 0; i < 32; ++i)
+        queue.scheduleAt(kT, next++);
+    for (std::size_t lane = 0; lane < kBusyLanes; ++lane)
+        for (int i = 0; i < 4; ++i)
+            queue.scheduleAt(kT, next++, lane);
+    for (std::size_t lane = 0; lane < kBusyLanes; ++lane)
+        queue.scheduleAt(kT + 1 + lane, next++, lane);
+    for (int i = 0; i < 32; ++i)
+        queue.scheduleAt(kT + 3 * i, next++);
+
+    std::vector<std::uint64_t> order;
+    std::uint64_t tag = 0;
+    while (queue.pop(tag)) {
+        order.push_back(tag);
+        if (tag != trigger)
+            continue;
+        EXPECT_EQ(queue.now(), kT);
+        for (std::uint64_t k = 0; k < kFanOut; ++k) {
+            const std::uint64_t id = next++;
+            if (k % 3 == 0)
+                queue.scheduleAt(kT, id, kBusyLanes + k % kIdleLanes);
+            else
+                queue.scheduleAt(kT, id);
+            if (k % 97 == 0)
+                queue.cancel(id);
+        }
+    }
+    EXPECT_EQ(queue.pending(), 0u);
+    return order;
+}
+
+TEST(CalendarQueueProperty, FanOutAtTheCurrentInstantMatchesHeap)
+{
+    sim::CalendarQueue<std::uint64_t> calendar;
+    sim::HeapEventQueue<std::uint64_t> heap;
+    const auto fired = runFanOut(calendar);
+    const auto expect = runFanOut(heap);
+    ASSERT_EQ(fired.size(), expect.size());
+    // Every fan-out event but the 85 cancelled ones fires.
+    EXPECT_EQ(fired.size(), 8u + 32 + 64 + 16 + 32 + 8'192 - 85);
+    for (std::size_t i = 0; i < fired.size(); ++i)
+        ASSERT_EQ(fired[i], expect[i]) << "first divergence at firing #" << i;
 }
 
 /** Routing invariants over bank pairs of a full machine. */

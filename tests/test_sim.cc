@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "sim/calendar_queue.hh"
+#include "sim/heap_event_queue.hh"
 #include "sim/resource.hh"
 #include "sim/task_graph.hh"
 
@@ -394,6 +395,25 @@ TEST(TaskGraphDeath, CycleIsDetected)
     graph.addDep(a, b);
     graph.addDep(b, a);
     EXPECT_DEATH(graph.execute(pool), "cycle");
+}
+
+TEST(EventQueueDeath, LaneScheduleBeforeTheLanesTailIsABug)
+{
+    // The executor's lane precondition: within one lane, when never
+    // decreases. Both queues check it, so a violation dies in the
+    // product queue and in the reference alike.
+    sim::CalendarQueue<std::uint64_t> calendar;
+    calendar.reset(2);
+    calendar.scheduleAt(10, 0, 1);
+    calendar.scheduleAt(5, 1, 0); // another lane: fine
+    calendar.scheduleAt(10, 2, 1); // equal time: fine
+    EXPECT_DEATH(calendar.scheduleAt(9, 3, 1), "before the lane's tail");
+    EXPECT_DEATH(calendar.scheduleAt(9, 3, 2), "out of range");
+
+    sim::HeapEventQueue<std::uint64_t> heap;
+    heap.reset(2);
+    heap.scheduleAt(10, 0, 1);
+    EXPECT_DEATH(heap.scheduleAt(9, 1, 1), "before the lane's tail");
 }
 
 } // namespace
